@@ -16,7 +16,6 @@ import csv
 import io
 import itertools
 import json
-import os
 import sys
 
 import numpy as np
@@ -169,9 +168,8 @@ def cmd_foel(args):
 
 
 def cmd_induct(args):
-    threads = args.threads or int(os.environ.get("HEIS_THREADS", "1"))
     rep = induction_run(args.d, args.n, args.N_max, tol=args.tol,
-                        method=args.method, seed=args.seed, max_workers=threads)
+                        method=args.method, seed=args.seed)
     report = {"meta": _meta(args), "graph": {"family": "lambda", "d": args.d},
               "results": rep.to_dict()}
     rows = [(r.N, r.energy, r.is_new_low, r.t_star) for r in rep.rows]
@@ -287,8 +285,6 @@ def build_parser():
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--method", choices=("auto", "dense", "krylov"),
                        default="auto")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: HEIS_THREADS or 1)")
 
     p = sub.add_parser("spectrum", help="spin-labeled sector spectra")
     p.add_argument("--graph", required=True)

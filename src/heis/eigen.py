@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ConvergenceError, LabelingError, SizeBudgetError
 from .sector import SparseSymOp, casimir_magnon
@@ -16,9 +17,6 @@ DENSE_BUDGET = 4096
 
 #: Eigenvalues closer than this are treated as degenerate.
 DEGENERACY_TOL = 1e-8
-
-_LANCZOS_RESTART = 200
-_LANCZOS_MAX_RESTARTS = 60
 
 
 @dataclass
@@ -87,72 +85,30 @@ def full_spectrum(op, with_vectors=True):
     return EigResult(values=vals, method="dense")
 
 
-def _lanczos_min(mat, deflate, tol, rng, project=None):
-    """Minimum eigenpair by restarted Lanczos with full reorthogonalization.
+def arpack_min(apply, v0, tol=0.0, seed=0):
+    """Lowest eigenpair of the symmetric operator x -> apply(x), by ARPACK.
 
-    Deflation is either a matrix of orthonormal columns or, via ``project``,
-    an arbitrary orthogonal projector applied as a callable.
+    Deterministic for a fixed start vector ``v0`` and ``seed``, which seeds
+    the restart vectors.  ARPACK stops with error -9 when the operator
+    annihilates its start vector (the zero operator does, at every size), so
+    the solve runs on the operator plus the identity and the shift is undone.
+    ARPACK failures raise :class:`ConvergenceError`.
     """
-    dim = mat.shape[0]
-
-    if project is None:
-        def project(x):
-            if deflate is not None and deflate.shape[1]:
-                x = x - deflate @ (deflate.T @ x)
-            return x
-
-    v = project(rng.standard_normal(dim))
-    nv = np.linalg.norm(v)
-    if nv < 1e-13:          # deflation space is everything
-        raise ValueError("deflation space spans the whole operator domain")
-    v /= nv
-    best_val, best_vec, best_res = None, None, np.inf
-    for _ in range(_LANCZOS_MAX_RESTARTS):
-        Q = np.zeros((dim, min(_LANCZOS_RESTART, dim)))
-        alphas, betas = [], []
-        Q[:, 0] = v
-        q = v
-        for j in range(Q.shape[1]):
-            w = project(mat @ q)
-            a = float(q @ w)
-            alphas.append(a)
-            w -= a * q
-            if j > 0:
-                w -= betas[-1] * Q[:, j - 1]
-            # full reorthogonalization, and purge deflation-space drift so a
-            # tiny beta cannot smuggle in a spurious deflated direction
-            w -= Q[:, : j + 1] @ (Q[:, : j + 1].T @ w)
-            w = project(w)
-            b = np.linalg.norm(w)
-            if j + 1 == Q.shape[1] or b < 1e-12:
-                break
-            betas.append(b)
-            q = w / b
-            Q[:, j + 1] = q
-        k = len(alphas)
-        T = np.diag(alphas)
-        if betas:
-            T += np.diag(betas[: k - 1], 1) + np.diag(betas[: k - 1], -1)
-        tvals, tvecs = np.linalg.eigh(T)
-        x = Q[:, :k] @ tvecs[:, 0]
-        x = project(x)
-        nx = np.linalg.norm(x)
-        if nx < 1e-13:
-            v = project(rng.standard_normal(dim))
-            v /= np.linalg.norm(v)
-            continue
-        x /= nx
-        val = float(x @ (mat @ x))
-        res = float(np.linalg.norm(project(mat @ x) - val * x))
-        if res < best_res:
-            best_val, best_vec, best_res = val, x, res
-        if res <= tol:
-            return val, x, res
-        v = x
-    raise ConvergenceError(
-        f"Lanczos did not reach residual {tol} (best {best_res:.2e})",
-        best_value=best_val, best_vector=best_vec, residual=best_res,
-    )
+    dim = v0.shape[0]
+    shifted = LinearOperator((dim, dim), matvec=lambda x: apply(x) + x, dtype=np.float64)
+    try:
+        vals, vecs = eigsh(shifted, k=1, which="SA", v0=v0, tol=tol,
+                           rng=np.random.default_rng(seed))
+    except ArpackNoConvergence as exc:
+        best = len(exc.eigenvalues) > 0
+        raise ConvergenceError(
+            f"ARPACK did not converge: {exc}",
+            best_value=float(exc.eigenvalues[0]) - 1.0 if best else None,
+            best_vector=exc.eigenvectors[:, 0] if best else None,
+        ) from exc
+    except ArpackError as exc:
+        raise ConvergenceError(f"ARPACK failed: {exc}") from exc
+    return float(vals[0]) - 1.0, vecs[:, 0]
 
 
 def min_eig(op, deflate=None, tol=1e-10, seed=0, method="auto"):
@@ -176,23 +132,33 @@ def min_eig(op, deflate=None, tol=1e-10, seed=0, method="auto"):
                 raise ValueError("deflation columns are not orthonormal to 1e-10")
     if method == "auto":
         method = "dense" if dim <= DENSE_BUDGET else "krylov"
-    if method == "dense":
-        dense = mat.toarray()
-        if deflate is None:
-            vals, vecs = np.linalg.eigh(dense)
-            return float(vals[0]), vecs[:, 0]
-        # restrict to the orthogonal complement of the deflation space
-        q, _ = np.linalg.qr(deflate, mode="complete")
-        comp = q[:, deflate.shape[1]:]
-        small = comp.T @ dense @ comp
-        vals, vecs = np.linalg.eigh(small)
-        vec = comp @ vecs[:, 0]
-        return float(vals[0]), vec / np.linalg.norm(vec)
-    if method == "krylov":
-        rng = np.random.default_rng(seed)
-        val, vec, _ = _lanczos_min(mat, deflate, tol, rng)
-        return val, vec
-    raise ValueError(f"unknown method {method!r}")
+    if method not in ("dense", "krylov"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "krylov" and dim > 1:      # ARPACK needs two dimensions
+        def project(x):
+            return x if deflate is None else x - deflate @ (deflate.T @ x)
+
+        # the deflation space is lifted above the whole spectrum of ``mat``
+        lift = float(abs(mat).sum(axis=1).max()) + 1.0
+
+        def apply(x):
+            return project(mat @ project(x)) + lift * (x - project(x))
+
+        v0 = project(np.random.default_rng(seed).standard_normal(dim))
+        if np.linalg.norm(v0) < 1e-13:
+            raise ValueError("deflation space spans the whole operator domain")
+        return arpack_min(apply, v0, tol=tol, seed=seed)
+    dense = mat.toarray()
+    if deflate is None:
+        vals, vecs = np.linalg.eigh(dense)
+        return float(vals[0]), vecs[:, 0]
+    # restrict to the orthogonal complement of the deflation space
+    q, _ = np.linalg.qr(deflate, mode="complete")
+    comp = q[:, deflate.shape[1]:]
+    small = comp.T @ dense @ comp
+    vals, vecs = np.linalg.eigh(small)
+    vec = comp @ vecs[:, 0]
+    return float(vals[0]), vec / np.linalg.norm(vec)
 
 
 def spectral_count(op, energy, degeneracy_tol=DEGENERACY_TOL, psd_tol=1e-10):

@@ -4,19 +4,20 @@ diluted-coupling induction harness over the growing lattice family."""
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-
-from .errors import NumericalError
+from .errors import HeisError, NumericalError, SizeBudgetError
 from .graph import make_lambda
-from .sector import hamiltonian_magnon, lowering_matrix, highest_weight_basis, _lowering_qr
-from .eigen import DENSE_BUDGET, min_eig, _lanczos_min
+from .sector import hamiltonian_magnon, highest_weight_projector
+from .eigen import DENSE_BUDGET, arpack_min
 
 #: Absolute tolerance for energy comparisons (spectra here are O(1)).
 ENERGY_TOL = 1e-9
+
+#: Largest sector that ``energy_level`` solves densely under ``method="auto"``.
+DENSE_CUTOFF = 240
 
 _BISECT_MAX_ITER = 60
 _PRESCAN_POINTS = 16
@@ -90,77 +91,47 @@ class DilutedSequence:
         return problems
 
 
-def _implicit_range_projector(g, n):
-    """Orthogonal projection onto the complement of the lowered sector.
-
-    Applies P = I - S^- (S^+ S^-)^{-1} S^+ where the normal-matrix solve on
-    mag(n-1) runs by conjugate gradients; S^+ S^- is well conditioned there
-    (its eigenvalues are (s+M)(s-M+1) over the admissible spins), so no
-    factorization or orthonormal basis is ever materialized.
-    """
-    low = lowering_matrix(g, n).to_csr()
-    gram = (low.T @ low).tocsr()
-
-    def solve(b):
-        x = np.zeros_like(b)
-        r = b.copy()
-        p = r.copy()
-        rs = float(r @ r)
-        if rs == 0.0:
-            return x
-        target = rs * 1e-28
-        for _ in range(500):
-            gp = gram @ p
-            alpha = rs / float(p @ gp)
-            x += alpha * p
-            r -= alpha * gp
-            rs_new = float(r @ r)
-            if rs_new <= target:
-                break
-            p = r + (rs_new / rs) * p
-            rs = rs_new
-        return x
-
-    def project(x):
-        return x - low @ solve(low.T @ x)
-
-    return project
-
-
 def energy_level(g, n, method="auto", tol=1e-10, seed=0):
     """Minimum energy among states of spin deviate exactly n.
 
-    Returns +inf for n beyond V/2 (the subspace is empty).  Computed as the
-    minimum eigenvalue of the sector Hamiltonian restricted to the
-    highest-weight subspace, or equivalently deflated against the image of
-    the lowering operator (the Krylov path, which uses an implicit projector
-    above the dense size budget).
+    Returns +inf for n beyond V/2 (the subspace is empty).  H commutes with
+    the exact highest-weight projector P (:func:`highest_weight_projector`),
+    so the result is the lowest eigenvalue of H + c(I - P) with
+    c = ||H||_inf + 1, which lifts every lowered state above the spectrum of
+    H.  Sectors up to ``DENSE_CUTOFF`` (any sector up to ``DENSE_BUDGET`` with
+    ``method="dense"``) materialise that operator for ``eigvalsh``; larger
+    ones (and ``method="krylov"``) solve it by ARPACK, to relative residual
+    ``tol``, from P applied to a seeded random vector.  Raises
+    :class:`SizeBudgetError` when the sector exceeds ``SECTOR_BUDGET`` and
+    :class:`ConvergenceError` when ARPACK fails.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if method not in ("auto", "dense", "krylov"):
+        raise ValueError(f"unknown method {method!r}")
     V = g.vertex_count
     if n > V // 2:
         return math.inf
     if n == 0:
         return 0.0
     H = hamiltonian_magnon(g, n)
+    dim = H.dim
     if method == "auto":
-        method = "dense" if H.dim <= DENSE_BUDGET else "krylov"
+        method = "dense" if dim <= DENSE_CUTOFF else "krylov"
+    if method == "dense" and dim > DENSE_BUDGET:
+        raise SizeBudgetError(
+            f"dim {dim} exceeds dense budget {DENSE_BUDGET}; use the krylov path")
+    lift = H.norm_inf() + 1.0
+    H = H.to_csr()
+    project = highest_weight_projector(g, n)
+
+    def apply(x):
+        return H @ x + lift * (x - project(x))
+
     if method == "dense":
-        basis = highest_weight_basis(g, n)
-        small = basis.T @ H.to_csr() @ basis
-        return float(np.linalg.eigvalsh(small)[0])
-    if method == "krylov":
-        if H.dim <= DENSE_BUDGET:
-            rng_basis, _ = _lowering_qr(g, n)
-            val, _ = min_eig(H, deflate=rng_basis, tol=tol, seed=seed,
-                             method="krylov")
-            return val
-        rng = np.random.default_rng(seed)
-        val, _, _ = _lanczos_min(H.to_csr(), None, tol, rng,
-                                 project=_implicit_range_projector(g, n))
-        return val
-    raise ValueError(f"unknown method {method!r}")
+        return float(np.linalg.eigvalsh(apply(np.eye(dim)))[0])
+    v0 = project(np.random.default_rng(seed).standard_normal(dim))
+    return arpack_min(apply, v0, tol=tol, seed=seed)[0]
 
 
 def energy_levels(g, method="auto", graph_id=""):
@@ -183,7 +154,7 @@ def foel_check(g, n, strict=False, tol=ENERGY_TOL, method="auto"):
     for m in range(n, V // 2 + 1):
         try:
             energies[m] = energy_level(g, m, method=method)
-        except Exception:
+        except HeisError:
             incomplete = True
             energies[m] = math.nan
     base = energies[n]
@@ -249,21 +220,21 @@ def dilute_extend(prev, next_graph, n, tol=ENERGY_TOL, method="auto", seed=0):
 
     # Case 2: scan to confirm monotonicity, then bisect for the rightmost crossing.
     grid = np.linspace(0.0, 1.0, _PRESCAN_POINTS)
-    scan = [energy_at(t)[0] for t in grid]
-    drops = [scan[i + 1] - scan[i] for i in range(len(scan) - 1)]
+    scan = [energy_at(t) for t in grid]
+    energies = [e for e, _ in scan]
+    drops = [energies[i + 1] - energies[i] for i in range(len(energies) - 1)]
     if min(drops) < -100 * tol:
         raise NumericalError(
             "energy is not monotone in the interpolation parameter",
-            diagnostics={"t_grid": list(grid), "energies": scan},
+            diagnostics={"t_grid": list(grid), "energies": energies},
         )
-    lo, e_lo = 0.0, scan[0]
+    lo, (e_lo, J_lo) = 0.0, scan[0]
     if e_lo > prev_energy + tol:
         raise NumericalError(
             "no bracket: energy at t=0 already exceeds the previous level",
             diagnostics={"energy_at_0": e_lo, "prev_energy": prev_energy},
         )
     hi = 1.0
-    J_lo = energy_at(0.0)[1]
     for _ in range(_BISECT_MAX_ITER):
         if hi - lo <= 1e-13 and abs(e_lo - prev_energy) <= tol:
             break
@@ -342,7 +313,7 @@ class InductionReport:
         }
 
 
-def induction_run(d, n, N_max, tol=ENERGY_TOL, method="auto", seed=0, max_workers=1):
+def induction_run(d, n, N_max, tol=ENERGY_TOL, method="auto", seed=0):
     """Run the growing-family induction for level n up to N_max vertices.
 
     Computes the level energies along the lattice family, marks new lows,
@@ -358,17 +329,11 @@ def induction_run(d, n, N_max, tol=ENERGY_TOL, method="auto", seed=0, max_worker
     def level(N, r):
         try:
             return energy_level(graphs[N], r, method=method, seed=seed)
-        except Exception as exc:  # pragma: no cover - solver failures are rare
+        except HeisError as exc:
             failures.append({"N": N, "r": r, "error": str(exc)})
             return math.nan
 
-    cells = [(N, r) for N in N_values for r in range(n, N // 2 + 1)]
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(lambda c: level(*c), cells))
-    else:
-        results = [level(*c) for c in cells]
-    energy = dict(zip(cells, results))
+    energy = {(N, r): level(N, r) for N in N_values for r in range(n, N // 2 + 1)}
 
     rows = []
     running = math.inf

@@ -23,6 +23,9 @@ from .errors import ParseError, SizeBudgetError
 #: Cap on |V|**n for operators living on the full n-particle function space.
 FUNCTION_SPACE_BUDGET = 1 << 21
 
+#: Cap on the sector dimension C(V, n) of every array built over a magnon sector.
+SECTOR_BUDGET = 1 << 18
+
 _QR_RANK_TOL = 1e-12
 
 
@@ -40,6 +43,7 @@ class MagnonBasis:
         self.vertex_count = vertex_count
         self.n = n
         self.dim = math.comb(vertex_count, n)
+        self._weights = None
 
     def rank(self, subset):
         c = sorted(subset)
@@ -64,6 +68,45 @@ class MagnonBasis:
     def subsets(self):
         """All subsets in rank order."""
         return (self.unrank(i) for i in range(self.dim))
+
+    def array(self):
+        """All subsets in rank order, as a (dim, n) int64 array of ascending rows.
+
+        Built one column at a time: the colex-ordered k-subsets with largest
+        element c are the first C(c, k-1) colex-ordered (k-1)-subsets with c
+        appended.  Raises :class:`SizeBudgetError` above ``SECTOR_BUDGET``.
+        """
+        check_sector_budget(self.vertex_count, self.n)
+        V, n = self.vertex_count, self.n
+        sub = np.zeros((1, 0), dtype=np.int64)
+        for k in range(1, n + 1):
+            # the k-th smallest element leaves room for the n - k larger ones
+            sub = np.concatenate([
+                np.column_stack((sub[: math.comb(c, k - 1)],
+                                 np.full(math.comb(c, k - 1), c, dtype=np.int64)))
+                for c in range(k - 1, V - n + k)
+            ])
+        return sub
+
+    def rank_array(self, sub):
+        """Ranks of the ascending rows of a (m, n) subset array."""
+        if self._weights is None:
+            # weights[v, i] = C(v, i+1); entries no n-subset can reach stay 0,
+            # which keeps the table inside int64 for any vertex count
+            V, n = self.vertex_count, self.n
+            self._weights = np.array(
+                [[math.comb(v, i + 1) if v - i <= V - n else 0 for i in range(n)]
+                 for v in range(V)], dtype=np.int64).reshape(V, n)
+        return self._weights[sub, np.arange(self.n)].sum(axis=1)
+
+
+def check_sector_budget(vertex_count, n):
+    """Raise :class:`SizeBudgetError` when C(vertex_count, n) exceeds ``SECTOR_BUDGET``."""
+    dim = math.comb(vertex_count, n)
+    if dim > SECTOR_BUDGET:
+        raise SizeBudgetError(
+            f"sector C({vertex_count},{n}) = {dim} exceeds the sector budget {SECTOR_BUDGET}"
+        )
 
 
 @dataclass
@@ -111,9 +154,6 @@ class SparseSymOp:
 
     def to_dense(self):
         return self.to_csr().toarray()
-
-    def matvec(self, x):
-        return self.to_csr() @ x
 
     def norm_inf(self):
         m = self.to_csr()
@@ -226,6 +266,13 @@ def _indexed_edges(g):
     return [(idx[u], idx[v], j) for (u, v), j in zip(g.edges, g.couplings)]
 
 
+def _membership(sub, vertex_count):
+    """(V, dim) boolean table whose row x marks the subsets containing x."""
+    member = np.zeros((vertex_count, len(sub)), dtype=bool)
+    member[sub, np.arange(len(sub))[:, None]] = True
+    return member
+
+
 def hamiltonian_magnon(g, n):
     """Heisenberg Hamiltonian restricted to the n-magnon sector.
 
@@ -238,29 +285,30 @@ def hamiltonian_magnon(g, n):
     if not 0 <= n <= V:
         raise ValueError(f"magnon number {n} out of range")
     basis = MagnonBasis(V, n)
-    edges = _indexed_edges(g)
+    sub = basis.array()
+    member = _membership(sub, V)
+    index = np.arange(basis.dim)
+    diag = np.zeros(basis.dim)
     rows, cols, vals = [], [], []
-    for i in range(basis.dim):
-        X = basis.unrank(i)
-        inX = set(X)
-        diag = 0.0
-        for (u, v, j) in edges:
-            u_in, v_in = u in inX, v in inX
-            if u_in != v_in:
-                diag += 0.5 * j
-                src, dst = (u, v) if u_in else (v, u)
-                Y = tuple(sorted(inX - {src} | {dst}))
-                k = basis.rank(Y)
-                if i < k:
-                    rows.append(i)
-                    cols.append(k)
-                    vals.append(-0.5 * j)
-        if diag != 0.0:
-            rows.append(i)
-            cols.append(i)
-            vals.append(diag)
-    return SparseSymOp(shape=(basis.dim, basis.dim), rows=np.array(rows),
-                       cols=np.array(cols), vals=np.array(vals), symmetric=True)
+    for (u, v, j) in _indexed_edges(g):
+        cross = member[u] != member[v]
+        diag[cross] += 0.5 * j
+        # the magnon on the edge hops to its other end: swap u and v
+        hop = sub[cross]
+        hopped = np.where(hop == u, v, np.where(hop == v, u, hop))
+        hopped.sort(axis=1)
+        i, k = index[cross], basis.rank_array(hopped)
+        upper = i < k
+        rows.append(i[upper])
+        cols.append(k[upper])
+        vals.append(np.full(int(upper.sum()), -0.5 * j))
+    nonzero = diag != 0.0
+    rows.append(index[nonzero])
+    cols.append(index[nonzero])
+    vals.append(diag[nonzero])
+    return SparseSymOp(shape=(basis.dim, basis.dim), rows=np.concatenate(rows),
+                       cols=np.concatenate(cols), vals=np.concatenate(vals),
+                       symmetric=True)
 
 
 def lowering_matrix(g, n):
@@ -272,18 +320,22 @@ def lowering_matrix(g, n):
     V = g.vertex_count
     if not 1 <= n <= V:
         raise ValueError(f"magnon number {n} out of range")
+    check_sector_budget(V, n)
     src = MagnonBasis(V, n - 1)
     dst = MagnonBasis(V, n)
+    sub = src.array()
+    member = _membership(sub, V)
+    index = np.arange(src.dim)
     rows, cols = [], []
-    for j in range(src.dim):
-        X = src.unrank(j)
-        inX = set(X)
-        for x in range(V):
-            if x not in inX:
-                rows.append(dst.rank(tuple(sorted(X + (x,)))))
-                cols.append(j)
-    return SparseSymOp(shape=(dst.dim, src.dim), rows=np.array(rows),
-                       cols=np.array(cols), vals=np.ones(len(rows)),
+    for x in range(V):
+        free = ~member[x]
+        grown = np.column_stack((sub[free], np.full(int(free.sum()), x, dtype=np.int64)))
+        grown.sort(axis=1)
+        rows.append(dst.rank_array(grown))
+        cols.append(index[free])
+    rows = np.concatenate(rows)
+    return SparseSymOp(shape=(dst.dim, src.dim), rows=rows,
+                       cols=np.concatenate(cols), vals=np.ones(len(rows)),
                        symmetric=False)
 
 
@@ -296,6 +348,7 @@ def casimir_magnon(g, n):
     V = g.vertex_count
     if not 0 <= n <= V:
         raise ValueError(f"magnon number {n} out of range")
+    check_sector_budget(V, n)
     dim = math.comb(V, n)
     M = 0.5 * V - n
     base = (M * M + M) * sp.identity(dim, format="csr")
@@ -303,15 +356,6 @@ def casimir_magnon(g, n):
         return SparseSymOp.from_scipy(base, symmetric=True)
     low = lowering_matrix(g, n).to_csr()
     return SparseSymOp.from_scipy(base + low @ low.T, symmetric=True)
-
-
-def _lowering_qr(g, n):
-    """Orthonormal bases of range(S^-) inside mag(n) and of its complement."""
-    L = lowering_matrix(g, n).to_dense()
-    q, r, _ = scipy.linalg.qr(L, mode="full", pivoting=True)
-    d = np.abs(np.diag(r)[: min(L.shape)])
-    rank = int(np.sum(d > _QR_RANK_TOL * max(d[0], 1.0))) if d.size else 0
-    return q[:, :rank], q[:, rank:]
 
 
 def highest_weight_basis(g, n):
@@ -327,8 +371,37 @@ def highest_weight_basis(g, n):
     if n > V // 2:
         warnings.warn(f"no highest-weight vectors at n={n} for {V} vertices")
         return np.zeros((math.comb(V, n), 0))
-    _, comp = _lowering_qr(g, n)
-    return comp
+    L = lowering_matrix(g, n).to_dense()
+    q, r, _ = scipy.linalg.qr(L, mode="full", pivoting=True)
+    d = np.abs(np.diag(r))
+    rank = int(np.sum(d > _QR_RANK_TOL * max(d[0], 1.0)))
+    return q[:, rank:]
+
+
+def highest_weight_projector(g, n):
+    """Exact orthogonal projector onto the highest-weight subspace of mag(n).
+
+    Returned as a function applying P to a vector or to the columns of a
+    matrix.  On mag(n), A = S^- S^+ acts on spin s = M + j (M = V/2 - n) as
+    lambda_j = (M+j)(M+j+1) - M(M+1), with lambda_0 = 0 on the highest-weight
+    space, so P = prod_{j=1..n} (I - A/lambda_j): 2n sparse products and no
+    factorization.  The factors run from the largest lambda_j down, so every
+    factor shrinks the components that survive it and rounding never grows.
+    """
+    V = g.vertex_count
+    if not 1 <= n <= V // 2:
+        raise ValueError(f"no lowered states to project out at n={n} for {V} vertices")
+    low = lowering_matrix(g, n).to_csr()
+    up = low.T.tocsr()
+    M = 0.5 * V - n
+    lams = [(M + j) * (M + j + 1) - M * (M + 1) for j in range(n, 0, -1)]
+
+    def project(x):
+        for lam in lams:
+            x = x - (low @ (up @ x)) / lam
+        return x
+
+    return project
 
 
 def free_laplacian(g, n):

@@ -113,17 +113,11 @@ def trial_state(d, N, modes):
     ]
     norm = spec.L ** (-n * d / 2.0)
     sqrt_fact = math.sqrt(math.factorial(n))
-    coeffs = np.zeros(basis.dim)
-    for i in range(basis.dim):
-        X = basis.unrank(i)
-        total = 0.0
-        for mat in cols:
-            prod = 1.0
-            for slot, v in enumerate(X):
-                prod *= mat[v, slot]
-            total += prod
-        # T applied to the symmetric function: sqrt(n!) * F(X)
-        coeffs[i] = sqrt_fact * norm * mult * total
+    sub = basis.array()
+    slots = np.arange(n)
+    total = sum(np.prod(mat[sub, slots], axis=1) for mat in cols)
+    # T applied to the symmetric function: sqrt(n!) * F(X)
+    coeffs = sqrt_fact * norm * mult * total
     return TrialState(d=d, N=N, modes=modes, coefficients=coeffs)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -84,6 +85,15 @@ def test_spectrum_parse_error_exit_code(capsys):
     assert err.startswith("heis:")
 
 
+def test_spectrum_oversized_sector_fails_fast(capsys):
+    # C(40, 20) ~ 1.4e11 subsets: refused before anything is enumerated
+    start = time.perf_counter()
+    code, _, err = run(capsys, "spectrum", "--graph", "path:L=40", "--sector", "20")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "budget" in err
+
+
 def test_foel_path_holds(capsys):
     code, out, _ = run(capsys, "foel", "--graph", "box:d=1,L=8", "--n", "2",
                        "--strict")
@@ -160,15 +170,6 @@ def test_csv_output(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "sector,energy,n_prime,multiplicity"
     assert len(lines) > 1
-
-
-def test_induct_threads_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("HEIS_THREADS", "3")
-    code, out, _ = run(capsys, "induct", "--d", "1", "--n", "1",
-                       "--N-max", "6")
-    assert code == 0
-    rep = json.loads(out)
-    assert [r["N"] for r in rep["results"]["rows"]] == [2, 3, 4, 5, 6]
 
 
 def test_foel_single_vertex(capsys):

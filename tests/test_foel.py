@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from heis.errors import NumericalError
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
+
+import heis.eigen
+import heis.foel
+from heis.errors import ConvergenceError, NumericalError, SizeBudgetError
 from heis.graph import Graph, make_box, make_lambda, make_path, make_ring
 from heis.sector import hamiltonian_magnon
 from heis.eigen import full_spectrum, spectral_count
@@ -49,22 +53,40 @@ def test_energy_level_dense_krylov_agree():
             assert abs(d - k) < 1e-8
 
 
-def test_energy_level_implicit_projector_matches():
-    # the factorized-projector path used above the dense budget gives the
-    # same values as explicit deflation
-    from heis.foel import _implicit_range_projector
-    from heis.eigen import _lanczos_min
-    from heis.sector import hamiltonian_magnon
-    for g, n in ((make_path(8), 3), (make_ring(7), 2), (make_lambda(2, 7), 2)):
-        H = hamiltonian_magnon(g, n).to_csr()
-        rng = np.random.default_rng(0)
-        val, _, _ = _lanczos_min(H, None, 1e-11, rng,
-                                 project=_implicit_range_projector(g, n))
-        assert abs(val - energy_level(g, n, method="dense")) < 1e-9
+def test_energy_level_size_budgets():
+    with pytest.raises(SizeBudgetError):
+        energy_level(make_path(40), 20)
+    with pytest.raises(SizeBudgetError):
+        energy_level(make_path(16), 8, method="dense")   # C(16,8) > DENSE_BUDGET
+
+
+@pytest.mark.parametrize("exc", [
+    ArpackNoConvergence("no convergence", np.array([0.5]), np.ones((28, 1))),
+    ArpackError(-9),
+])
+def test_energy_level_wraps_arpack_failures(monkeypatch, exc):
+    def fail(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(heis.eigen, "eigsh", fail)
+    with pytest.raises(ConvergenceError):
+        energy_level(make_path(8), 2, method="krylov")
+    v = foel_check(make_path(8), 1, method="krylov")
+    assert v.incomplete
+    assert math.isnan(v.energies[2])
+
+
+def test_programming_errors_propagate(monkeypatch):
+    def broken(g, n):
+        raise TypeError("bug")
+    monkeypatch.setattr(heis.foel, "hamiltonian_magnon", broken)
+    with pytest.raises(TypeError):
+        foel_check(make_path(6), 1)
+    with pytest.raises(TypeError):
+        induction_run(1, 1, 4)
 
 
 def test_energy_level_beyond_dense_budget():
-    # C(15,7) = 6435 forces the implicit-projector Krylov path
+    # C(15,7) = 6435 is above the dense budget: the ARPACK path
     g = make_path(15)
     e6 = energy_level(g, 6, method="krylov", tol=1e-9, seed=1)
     e7 = energy_level(g, 7, method="krylov", tol=1e-9, seed=1)
@@ -179,6 +201,20 @@ def test_dilute_extend_case2_triangle():
         assert energy_level(tri.with_couplings(J), 1) > 1.0
 
 
+def test_dilute_extend_solves_t0_once(monkeypatch):
+    # the t = 0 couplings come from the pre-scan, not from a second solve
+    solved = []
+
+    def counting(g, n, **kwargs):
+        solved.append(g.couplings)
+        return energy_level(g, n, **kwargs)
+    monkeypatch.setattr(heis.foel, "energy_level", counting)
+    prev = Graph((0, 1), ((0, 1),), (1.0,))
+    step = dilute_extend((prev, {(0, 1): 1.0}, 1.0), make_ring(3), 1, tol=1e-10)
+    assert step.case == 2
+    assert solved.count((1.0, 0.0, 0.0)) == 1
+
+
 def test_dilute_extend_rejects_infinite_start():
     with pytest.raises(ValueError):
         dilute_extend((make_box(1, 2), None, math.inf), make_path(3), 2)
@@ -234,12 +270,6 @@ def test_induction_run_d2_smoke():
     assert not rep.partial
     assert not rep.grid_violations
     assert foel_check(make_lambda(2, 9), 1).holds
-
-
-def test_induction_run_parallel_matches_serial():
-    a = induction_run(1, 1, 7, max_workers=1)
-    b = induction_run(1, 1, 7, max_workers=4)
-    assert [r.energy for r in a.rows] == [r.energy for r in b.rows]
 
 
 def test_induction_report_json_shape():

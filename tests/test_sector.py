@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from heis.errors import ParseError, SizeBudgetError
 from heis.graph import make_box, make_lambda, make_path, make_ring
 from heis.sector import (
+    SECTOR_BUDGET,
     FunctionSpaceIndex,
     MagnonBasis,
     SparseSymOp,
@@ -18,6 +19,7 @@ from heis.sector import (
     free_laplacian,
     hamiltonian_magnon,
     highest_weight_basis,
+    highest_weight_projector,
     load_op,
     lower_function,
     lowering_matrix,
@@ -40,6 +42,10 @@ def test_rank_unrank_round_trip(V, n):
     basis = MagnonBasis(V, n)
     for i in range(basis.dim):
         assert basis.rank(basis.unrank(i)) == i
+    sub = basis.array()
+    assert sub.shape == (basis.dim, n)
+    assert [tuple(row) for row in sub] == list(basis.subsets())
+    assert np.array_equal(basis.rank_array(sub), np.arange(basis.dim))
 
 
 def test_basis_dimension():
@@ -106,6 +112,63 @@ def test_hamiltonian_ten_site_spot_check():
     full = product_hamiltonian(g)
     got = hamiltonian_magnon(g, 2).to_dense()
     assert np.max(np.abs(got - project_sector(full, 10, 2))) < 1e-12
+
+
+@pytest.mark.parametrize("g", [
+    make_path(7).with_couplings({(k, k + 1): 0.25 * (k + 1) for k in range(6)}),
+    make_ring(9),
+    make_lambda(2, 10),
+])
+def test_builders_match_product_space_oracle_up_to_ten_sites(g):
+    V = g.vertex_count
+    full = product_hamiltonian(g)
+    _, sm = product_spin_ops(V)
+    for n in range(V + 1):
+        got = hamiltonian_magnon(g, n).to_dense()
+        assert np.max(np.abs(got - project_sector(full, V, n))) < 1e-12
+        if n:
+            low = lowering_matrix(g, n).to_dense()
+            assert np.array_equal(low, project_sector(sm, V, n, n - 1))
+
+
+def _reference_entries(g, n):
+    """Per-subset loop over the sector: {(row, col): value} of H and of S^-."""
+    idx = g.index_of()
+    edges = [(idx[a], idx[b], J) for (a, b), J in zip(g.edges, g.couplings)]
+    basis = MagnonBasis(g.vertex_count, n)
+    H = {}
+    for i, X in enumerate(basis.subsets()):
+        inX = set(X)
+        for (u, v, J) in edges:
+            if (u in inX) != (v in inX):
+                H[i, i] = H.get((i, i), 0.0) + 0.5 * J
+                H[i, basis.rank(inX ^ {u, v})] = -0.5 * J
+    low = {}
+    for j, X in enumerate(MagnonBasis(g.vertex_count, n - 1).subsets()):
+        for x in set(range(g.vertex_count)) - set(X):
+            low[basis.rank(X + (x,)), j] = 1.0
+    return H, low
+
+
+def test_builders_match_reference_loop_at_64_sites():
+    # V = 64 is beyond int64 bitmasks; the ranks come from the binomial table
+    g = make_lambda(2, 64)
+    g = g.with_couplings({e: 1.0 + 0.01 * k for k, e in enumerate(g.edges)})
+    H_ref, low_ref = _reference_entries(g, 2)
+    H = hamiltonian_magnon(g, 2).to_csr().todok()
+    low = lowering_matrix(g, 2).to_csr().todok()
+    assert dict(H.items()) == H_ref
+    assert dict(low.items()) == low_ref
+
+
+def test_sector_budget_fails_fast():
+    assert math.comb(20, 10) <= SECTOR_BUDGET
+    g = make_path(40)
+    for build in (hamiltonian_magnon, lowering_matrix, casimir_magnon):
+        with pytest.raises(SizeBudgetError):
+            build(g, 20)
+    with pytest.raises(SizeBudgetError):
+        MagnonBasis(40, 20).array()
 
 
 def test_hamiltonian_sign_structure():
@@ -245,6 +308,22 @@ def test_highest_weight_above_equator_warns():
     with pytest.warns(UserWarning):
         basis = highest_weight_basis(make_path(4), 3)
     assert basis.shape == (4, 0)
+
+
+def test_highest_weight_projector_exact():
+    for g, n in ((make_path(8), 3), (make_ring(7), 2), (make_lambda(2, 7), 2)):
+        V = g.vertex_count
+        project = highest_weight_projector(g, n)
+        P = project(np.eye(math.comb(V, n)))
+        H = hamiltonian_magnon(g, n).to_dense()
+        low = lowering_matrix(g, n).to_dense()
+        assert np.max(np.abs(P @ P - P)) <= 1e-12
+        assert np.max(np.abs(project(low))) <= 1e-12
+        assert np.linalg.matrix_rank(P, tol=1e-8) == math.comb(V, n) - math.comb(V, n - 1)
+        assert np.linalg.norm(H @ P - P @ H, 2) <= 1e-12
+        # the same projector as the one built from the QR basis
+        basis = highest_weight_basis(g, n)
+        assert np.max(np.abs(P - basis @ basis.T)) <= 1e-12
 
 
 def test_multiplet_dimension_identity():
