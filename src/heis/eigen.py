@@ -6,14 +6,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ConvergenceError, LabelingError, SizeBudgetError
 from .sector import SparseSymOp, casimir_magnon
 
-#: Largest dimension handed to the dense eigensolver.
+#: Largest dimension handed to a dense eigensolver.
 DENSE_BUDGET = 4096
+
+#: Largest dimension that :func:`lowest_eig` solves densely under
+#: ``method="auto"`` (measured dense/ARPACK crossover: 220-250).
+DENSE_CUTOFF = 240
 
 #: Eigenvalues closer than this are treated as degenerate.
 DEGENERACY_TOL = 1e-8
@@ -27,14 +32,8 @@ class EigResult:
     method: str = "dense"
 
     def multiplicities(self, tol=DEGENERACY_TOL):
-        """(value, multiplicity) pairs grouped by the degeneracy threshold."""
-        groups = []
-        for v in self.values:
-            if groups and v - groups[-1][0] <= tol:
-                groups[-1][1] += 1
-            else:
-                groups.append([float(v), 1])
-        return [(v, m) for v, m in groups]
+        """(first value, multiplicity) per run of :func:`degenerate_runs`."""
+        return [(float(self.values[i]), j - i) for i, j in degenerate_runs(self.values, tol)]
 
 
 @dataclass
@@ -52,6 +51,14 @@ class SpinLabeledSpectrum:
 
     def energies_with_label(self, n_prime):
         return [e.energy for e in self.entries if e.n_prime == n_prime]
+
+
+def degenerate_runs(values, tol=DEGENERACY_TOL):
+    """(start, stop) index pairs of the runs of an ascending array whose
+    consecutive gaps are at most ``tol``."""
+    gaps = np.diff(np.asarray(values, dtype=float), prepend=-np.inf, append=np.inf)
+    bounds = np.flatnonzero(gaps > tol).tolist()
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _as_csr(op):
@@ -85,16 +92,30 @@ def full_spectrum(op, with_vectors=True):
     return EigResult(values=vals, method="dense")
 
 
-def arpack_min(apply, v0, tol=0.0, seed=0):
-    """Lowest eigenpair of the symmetric operator x -> apply(x), by ARPACK.
+def lowest_eig(apply, project, dim, method, tol, seed):
+    """Lowest eigenpair of the symmetric operator x -> apply(x) on R^dim.
 
-    Deterministic for a fixed start vector ``v0`` and ``seed``, which seeds
-    the restart vectors.  ARPACK stops with error -9 when the operator
-    annihilates its start vector (the zero operator does, at every size), so
-    the solve runs on the operator plus the identity and the shift is undone.
-    ARPACK failures raise :class:`ConvergenceError`.
+    ``method="auto"`` is dense at or below ``DENSE_CUTOFF`` and ARPACK above.
+    The dense solve (also for dim 1, which ARPACK cannot take) materialises
+    apply(I) and raises :class:`SizeBudgetError` above ``DENSE_BUDGET``
+    first.  ARPACK solves to relative residual ``tol`` from ``project``
+    applied to a random vector; ``seed`` seeds it and the restart vectors,
+    so the result is deterministic.  ARPACK stops with error -9 when the
+    operator annihilates its start vector (the zero operator does, at every
+    size), so it runs on the operator plus the identity and the shift is
+    undone.  ARPACK failures raise :class:`ConvergenceError`.
     """
-    dim = v0.shape[0]
+    if method == "auto":
+        method = "dense" if dim <= DENSE_CUTOFF else "krylov"
+    if method not in ("dense", "krylov"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "dense" or dim < 2:
+        if dim > DENSE_BUDGET:
+            raise SizeBudgetError(
+                f"dim {dim} exceeds dense budget {DENSE_BUDGET}; use the krylov path")
+        vals, vecs = scipy.linalg.eigh(apply(np.eye(dim)), subset_by_index=[0, 0])
+        return float(vals[0]), vecs[:, 0]
+    v0 = project(np.random.default_rng(seed).standard_normal(dim))
     shifted = LinearOperator((dim, dim), matvec=lambda x: apply(x) + x, dtype=np.float64)
     try:
         vals, vecs = eigsh(shifted, k=1, which="SA", v0=v0, tol=tol,
@@ -115,8 +136,11 @@ def min_eig(op, deflate=None, tol=1e-10, seed=0, method="auto"):
     """Minimum eigenvalue and eigenvector, optionally deflated.
 
     ``deflate`` is a matrix of orthonormal columns; the minimum is taken over
-    their orthogonal complement (the minimum Rayleigh quotient there).
-    Deterministic for a fixed seed.
+    their orthogonal complement (the minimum Rayleigh quotient there), as the
+    lowest eigenpair of P M P + c(I - P) with P the complement projector and
+    c = ||M||_inf + 1.  Solved by :func:`lowest_eig`, so ``method`` and the
+    size budgets are the same as for ``energy_level``.  Deterministic for a
+    fixed seed.
     """
     mat = _as_csr(op)
     dim = mat.shape[0]
@@ -130,35 +154,19 @@ def min_eig(op, deflate=None, tol=1e-10, seed=0, method="auto"):
             gram = deflate.T @ deflate
             if not np.allclose(gram, np.eye(deflate.shape[1]), atol=1e-10):
                 raise ValueError("deflation columns are not orthonormal to 1e-10")
-    if method == "auto":
-        method = "dense" if dim <= DENSE_BUDGET else "krylov"
-    if method not in ("dense", "krylov"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "krylov" and dim > 1:      # ARPACK needs two dimensions
-        def project(x):
-            return x if deflate is None else x - deflate @ (deflate.T @ x)
+            if deflate.shape[1] >= dim:
+                raise ValueError("deflation space spans the whole operator domain")
 
-        # the deflation space is lifted above the whole spectrum of ``mat``
-        lift = float(abs(mat).sum(axis=1).max()) + 1.0
+    def project(x):
+        return x if deflate is None else x - deflate @ (deflate.T @ x)
 
-        def apply(x):
-            return project(mat @ project(x)) + lift * (x - project(x))
+    # the deflation space is lifted above the whole spectrum of ``mat``
+    lift = float(abs(mat).sum(axis=1).max()) + 1.0
 
-        v0 = project(np.random.default_rng(seed).standard_normal(dim))
-        if np.linalg.norm(v0) < 1e-13:
-            raise ValueError("deflation space spans the whole operator domain")
-        return arpack_min(apply, v0, tol=tol, seed=seed)
-    dense = mat.toarray()
-    if deflate is None:
-        vals, vecs = np.linalg.eigh(dense)
-        return float(vals[0]), vecs[:, 0]
-    # restrict to the orthogonal complement of the deflation space
-    q, _ = np.linalg.qr(deflate, mode="complete")
-    comp = q[:, deflate.shape[1]:]
-    small = comp.T @ dense @ comp
-    vals, vecs = np.linalg.eigh(small)
-    vec = comp @ vecs[:, 0]
-    return float(vals[0]), vec / np.linalg.norm(vec)
+    def apply(x):
+        return project(mat @ project(x)) + lift * (x - project(x))
+
+    return lowest_eig(apply, project, dim, method=method, tol=tol, seed=seed)
 
 
 def spectral_count(op, energy, degeneracy_tol=DEGENERACY_TOL, psd_tol=1e-10):
@@ -188,33 +196,26 @@ def _spin_from_casimir(c, V, tol=1e-8):
 def label_spins(g, n, eig, tol=1e-8):
     """Attach an integer spin-deviate label to every eigenvector.
 
-    Within each degenerate Hamiltonian eigenspace the restricted Casimir is
-    diagonalized jointly (the two operators commute exactly), so each
-    returned column has a definite total spin s = V/2 - n'.
+    Within each degenerate Hamiltonian eigenspace (a run of
+    :func:`degenerate_runs`) the restricted Casimir is diagonalized jointly
+    (the two operators commute exactly), so each returned column has a
+    definite total spin s = V/2 - n', read from its Casimir eigenvalue
+    s(s+1).
     """
     if eig.vectors is None:
         raise ValueError("label_spins needs eigenvectors")
     V = g.vertex_count
-    C = casimir_magnon(g, n).to_csr()
     values = eig.values
     vectors = eig.vectors.copy()
+    CV = casimir_magnon(g, n).to_csr() @ vectors
     labels = np.empty(len(values), dtype=int)
     entries = []
-    i = 0
-    while i < len(values):
-        j = i + 1
-        while j < len(values) and values[j] - values[j - 1] <= DEGENERACY_TOL:
-            j += 1
+    for i, j in degenerate_runs(values):
         W = vectors[:, i:j]
-        block = W.T @ (C @ W)
-        cvals, cvecs = np.linalg.eigh(block)
-        W = W @ cvecs
-        group = np.empty(j - i, dtype=int)
-        for k in range(j - i):
-            measured = float(W[:, k] @ (C @ W[:, k]))
-            group[k] = _spin_from_casimir(measured, V, tol)
+        cvals, cvecs = np.linalg.eigh(W.T @ CV[:, i:j])
+        group = np.array([_spin_from_casimir(float(c), V, tol) for c in cvals], dtype=int)
         order = np.argsort(group, kind="stable")
-        vectors[:, i:j] = W[:, order]
+        vectors[:, i:j] = (W @ cvecs)[:, order]
         labels[i:j] = group[order]
         energy = float(np.mean(values[i:j]))
         for lab in labels[i:j]:
@@ -222,5 +223,4 @@ def label_spins(g, n, eig, tol=1e-8):
                 entries[-1].multiplicity += 1
             else:
                 entries.append(SpinLabel(energy=energy, n_prime=int(lab), multiplicity=1))
-        i = j
     return SpinLabeledSpectrum(entries=entries, vectors=vectors, labels=labels)

@@ -8,16 +8,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import HeisError, NumericalError, SizeBudgetError
+from .errors import HeisError, NumericalError
 from .graph import make_lambda
 from .sector import hamiltonian_magnon, highest_weight_projector
-from .eigen import DENSE_BUDGET, arpack_min
+from .eigen import lowest_eig
 
 #: Absolute tolerance for energy comparisons (spectra here are O(1)).
 ENERGY_TOL = 1e-9
-
-#: Largest sector that ``energy_level`` solves densely under ``method="auto"``.
-DENSE_CUTOFF = 240
 
 _BISECT_MAX_ITER = 60
 _PRESCAN_POINTS = 16
@@ -98,12 +95,11 @@ def energy_level(g, n, method="auto", tol=1e-10, seed=0):
     the exact highest-weight projector P (:func:`highest_weight_projector`),
     so the result is the lowest eigenvalue of H + c(I - P) with
     c = ||H||_inf + 1, which lifts every lowered state above the spectrum of
-    H.  Sectors up to ``DENSE_CUTOFF`` (any sector up to ``DENSE_BUDGET`` with
-    ``method="dense"``) materialise that operator for ``eigvalsh``; larger
-    ones (and ``method="krylov"``) solve it by ARPACK, to relative residual
-    ``tol``, from P applied to a seeded random vector.  Raises
-    :class:`SizeBudgetError` when the sector exceeds ``SECTOR_BUDGET`` and
-    :class:`ConvergenceError` when ARPACK fails.
+    H.  :func:`heis.eigen.lowest_eig` solves it: densely up to
+    ``DENSE_CUTOFF``, else by ARPACK to relative residual ``tol`` from P
+    applied to a seeded random vector.  Raises :class:`SizeBudgetError` when
+    the sector exceeds ``SECTOR_BUDGET`` (or ``DENSE_BUDGET`` with
+    ``method="dense"``) and :class:`ConvergenceError` when ARPACK fails.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -115,12 +111,6 @@ def energy_level(g, n, method="auto", tol=1e-10, seed=0):
     if n == 0:
         return 0.0
     H = hamiltonian_magnon(g, n)
-    dim = H.dim
-    if method == "auto":
-        method = "dense" if dim <= DENSE_CUTOFF else "krylov"
-    if method == "dense" and dim > DENSE_BUDGET:
-        raise SizeBudgetError(
-            f"dim {dim} exceeds dense budget {DENSE_BUDGET}; use the krylov path")
     lift = H.norm_inf() + 1.0
     H = H.to_csr()
     project = highest_weight_projector(g, n)
@@ -128,10 +118,7 @@ def energy_level(g, n, method="auto", tol=1e-10, seed=0):
     def apply(x):
         return H @ x + lift * (x - project(x))
 
-    if method == "dense":
-        return float(np.linalg.eigvalsh(apply(np.eye(dim)))[0])
-    v0 = project(np.random.default_rng(seed).standard_normal(dim))
-    return arpack_min(apply, v0, tol=tol, seed=seed)[0]
+    return lowest_eig(apply, project, H.shape[0], method=method, tol=tol, seed=seed)[0]
 
 
 def energy_levels(g, method="auto", graph_id=""):

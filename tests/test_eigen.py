@@ -14,6 +14,7 @@ from heis.sector import (
 )
 from heis.eigen import (
     DENSE_BUDGET,
+    EigResult,
     full_spectrum,
     label_spins,
     min_eig,
@@ -101,6 +102,18 @@ def test_min_eig_rejects_sloppy_deflation():
         min_eig(H, deflate=bad)
 
 
+@pytest.mark.parametrize("method", ["dense", "krylov"])
+def test_min_eig_rejects_full_deflation(method):
+    with pytest.raises(ValueError, match="whole operator domain"):
+        min_eig(np.diag([1.0, 2.0, 3.0]), deflate=np.eye(3), method=method)
+
+
+def test_min_eig_dense_budget():
+    # the budget check comes before the dense matrix is built
+    with pytest.raises(SizeBudgetError):
+        min_eig(SparseSymOp.zero(DENSE_BUDGET + 1), method="dense")
+
+
 def test_min_eig_permutation_invariance(rng):
     H = hamiltonian_magnon(make_ring(7), 2).to_dense()
     perm = rng.permutation(H.shape[0])
@@ -151,6 +164,36 @@ def test_label_spins_highest_weight_count():
             labeled = label_spins(g, n, full_spectrum(hamiltonian_magnon(g, n)))
             count = sum(e.multiplicity for e in labeled.entries if e.n_prime == n)
             assert count == math.comb(V, n) - math.comb(V, n - 1)
+
+
+def test_label_spins_ring_multiplet_counts():
+    # rings have +-k degeneracies that mix spins inside one energy group;
+    # mag(n) holds C(V,n') - C(V,n'-1) states of every n' <= min(n, V - n)
+    for g in (make_ring(8), make_ring(10)):
+        V = g.vertex_count
+        for n in range(V + 1):
+            labeled = label_spins(g, n, full_spectrum(hamiltonian_magnon(g, n)))
+            counts = {}
+            for e in labeled.entries:
+                counts[e.n_prime] = counts.get(e.n_prime, 0) + e.multiplicity
+            expected = {m: math.comb(V, m) - (math.comb(V, m - 1) if m else 0)
+                        for m in range(min(n, V - n) + 1)}
+            assert counts == expected
+
+
+def test_clustered_spectrum_grouping():
+    # gaps of 0.6e-8 chain into one group of three, though its ends are
+    # 1.2e-8 apart; multiplicities and label_spins must group alike
+    g = make_path(4)
+    vectors = full_spectrum(hamiltonian_magnon(g, 1)).vectors
+    eig = EigResult(values=np.array([0.0, 0.6e-8, 1.2e-8, 1.0]), vectors=vectors)
+    assert eig.multiplicities() == [(0.0, 3), (1.0, 1)]
+    labeled = label_spins(g, 1, eig)
+    per_energy = {}
+    for e in labeled.entries:
+        per_energy[e.energy] = per_energy.get(e.energy, 0) + e.multiplicity
+    assert list(per_energy.values()) == [m for _, m in eig.multiplicities()]
+    assert sorted(labeled.labels[:3]) == [0, 1, 1]
 
 
 def test_label_spins_casimir_accuracy():
