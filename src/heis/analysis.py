@@ -3,15 +3,14 @@ nearest-good-point extension, and distance-to-good-set diagnostics.
 
 The "good set" for n particles on the N-vertex lattice graph inside its
 surrounding box consists of the n-tuples whose points all lie in the lattice
-graph and are pairwise distinct; the extension operator copies values from
-the nearest good tuple (minimum l1 distance, lexicographic tie-break on the
-flattened coordinate tuple).
+graph and are pairwise distinct.  The extension operator copies values to a
+box tuple t from its nearest good tuple g: the one minimising the l1 distance
+sum_i |t_i - g_i|_1, ties broken by the smallest row-major index, which is
+the lexicographic order of the flattened coordinate tuple.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -150,78 +149,44 @@ class GoodSet:
 
 
 class _Geometry:
-    """Distances and nearest-good-point labels on the n-fold box."""
+    """Distances to the good set and nearest good tuples on the n-fold box.
+
+    ``dist`` and ``nearest`` are indexed by the row-major flat index of the
+    box tuple; ``rank`` is the sector rank of each tuple's nearest good tuple.
+    """
 
     def __init__(self, d, N, n):
-        spec = lambda_spec(d, N)
-        self.spec = spec
-        self.box = make_box(d, spec.L_plus)
+        self.box = make_box(d, lambda_spec(d, N).L_plus)
         self.lam = make_lambda(d, N)
         self.findex = FunctionSpaceIndex(self.box.vertex_count, n)
         self.basis = MagnonBasis(self.lam.vertex_count, n)
-        self.n = n
-        box_pos = {p: i for i, p in enumerate(self.box.points)}
-        self.lam_of_box = np.full(self.box.vertex_count, -1, dtype=int)
-        for lam_id, p in enumerate(self.lam.points):
-            self.lam_of_box[box_pos[p]] = lam_id
-        nbrs = [[] for _ in range(self.box.vertex_count)]
-        for (u, v) in self.box.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        self.box_neighbors = nbrs
-        self._solve()
-
-    def _is_good(self, tup):
-        return (all(self.lam_of_box[x] >= 0 for x in tup)
-                and len(set(tup)) == self.n)
-
-    def _neighbors(self, flat):
-        tup = self.findex.decode(flat)
-        V = self.box.vertex_count
-        for slot in range(self.n):
-            base = flat - tup[slot] * V ** (self.n - 1 - slot)
-            for q in self.box_neighbors[tup[slot]]:
-                yield base + q * V ** (self.n - 1 - slot)
-
-    def _solve(self):
+        self.box_pos = {p: i for i, p in enumerate(self.box.points)}
         dim = self.findex.dim
-        dist = np.full(dim, -1, dtype=int)
-        nearest = np.full(dim, -1, dtype=np.int64)
-        queue = deque()
-        for flat in range(dim):
-            if self._is_good(self.findex.decode(flat)):
-                dist[flat] = 0
-                nearest[flat] = flat
-                queue.append(flat)
-        if not queue:
-            raise ValueError("good set is empty (fewer lattice points than particles)")
-        order = []
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for u in self._neighbors(v):
-                if dist[u] < 0:
-                    dist[u] = dist[v] + 1
-                    queue.append(u)
-        # lexicographically minimal nearest good tuple: the row-major flat
-        # index orders tuples exactly like the flattened coordinate order
-        for v in order:
-            if dist[v] == 0:
-                continue
-            best = None
-            for u in self._neighbors(v):
-                if dist[u] == dist[v] - 1:
-                    cand = nearest[u]
-                    if best is None or cand < best:
-                        best = cand
-            nearest[v] = best
+        # the contraction has one entry per good tuple, in the row of its sector
+        # rank; the off-diagonal entries of the free Laplacian are the hops
+        _, _, T, h = _deficit_operators(d, N, n)
+        T, h = T.tocoo(), h.tocoo()
+        rank = np.zeros(dim, dtype=np.int64)
+        rank[T.col] = T.row
+        dist = np.full(dim, -1, dtype=np.int64)
+        dist[T.col] = 0
+        nearest = np.full(dim, dim, dtype=np.int64)
+        nearest[T.col] = T.col
+        # level-synchronous BFS: a tuple first reached at a level takes the
+        # smallest nearest-good index among its neighbours one level down
+        off = h.row != h.col
+        src, dst = h.row[off], h.col[off]
+        level = 0
+        while True:
+            hop = (dist[src] == level) & (dist[dst] < 0)
+            if not hop.any():
+                break
+            level += 1
+            dist[dst[hop]] = level
+            np.minimum.at(nearest, dst[hop], nearest[src[hop]])
         self.dist = dist
         self.nearest = nearest
-
-    def rank_of_flat(self, flat):
-        tup = self.findex.decode(flat)
-        subset = sorted(self.lam_of_box[x] for x in tup)
-        return self.basis.rank(subset)
+        self.rank = rank[nearest]
 
 
 @lru_cache(maxsize=32)
@@ -232,9 +197,8 @@ def _geometry(d, N, n):
 def rho(d, N, n, point_tuple):
     """Exact l1 distance from a box tuple to the good set (0 on the good set)."""
     geo = _geometry(d, N, n)
-    box_pos = {p: i for i, p in enumerate(geo.box.points)}
     try:
-        tup = tuple(box_pos[tuple(p)] for p in point_tuple)
+        tup = tuple(geo.box_pos[tuple(p)] for p in point_tuple)
     except KeyError as exc:
         raise ValueError(f"point {exc.args[0]} outside the surrounding box")
     if len(tup) != n:
@@ -254,13 +218,7 @@ def extension_Xi(d, N, n, psi):
     if psi.shape != (geo.basis.dim,):
         raise ValueError(f"psi must have length {geo.basis.dim}")
     _, inv_scale = _sqrt_factorial_scales(n)
-    out = np.zeros(geo.findex.dim, dtype=psi.dtype)
-    good = np.flatnonzero(geo.dist == 0)
-    for flat in good:
-        out[flat] = psi[geo.rank_of_flat(flat)] * inv_scale
-    bad = np.flatnonzero(geo.dist != 0)
-    out[bad] = out[geo.nearest[bad]]
-    return out
+    return psi[geo.rank] * inv_scale
 
 
 def extension_energy_ratio(d, N, n):
@@ -270,12 +228,11 @@ def extension_energy_ratio(d, N, n):
     bound's non-constructive constant.
     """
     lam = make_lambda(d, N)
-    spec = lambda_spec(d, N)
     H = hamiltonian_magnon(lam, n).to_csr()
     basis = highest_weight_basis(lam, n)
     small = basis.T @ H @ basis
     vals, vecs = np.linalg.eigh(small)
-    h = free_laplacian(make_box(d, spec.L_plus), n).to_csr()
+    h = _deficit_operators(d, N, n)[3]
     ratios = []
     for i in range(len(vals)):
         psi = basis @ vecs[:, i]

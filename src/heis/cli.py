@@ -133,7 +133,7 @@ def cmd_spectrum(args):
         results[str(n)] = {
             "dimension": H.dim,
             "levels": entries,
-            "E_n": energy_level(g, n, method=args.method) * scale,
+            "E_n": energy_level(g, n, method=args.method, seed=args.seed) * scale,
         }
         rows.extend((n, e["energy"], e["n_prime"], e["multiplicity"]) for e in entries)
     report = {"meta": _meta(args, {"figure_scale_applied": scale}),

@@ -150,6 +150,9 @@ def min_eig(op, deflate=None, tol=1e-10, seed=0, method="auto"):
         deflate = np.asarray(deflate, dtype=float)
         if deflate.size == 0:
             deflate = None
+        elif deflate.ndim != 2 or deflate.shape[0] != dim:
+            raise ValueError(
+                f"deflation must be a ({dim}, k) matrix of columns, got shape {deflate.shape}")
         else:
             gram = deflate.T @ deflate
             if not np.allclose(gram, np.eye(deflate.shape[1]), atol=1e-10):

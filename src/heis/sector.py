@@ -443,6 +443,24 @@ def _sqrt_factorial_scales(n):
     return a, b
 
 
+def _contraction(basis, ids, size):
+    """Contraction from functions on {0..size-1}^n to the sector of ``basis``.
+
+    Sector vertex v sits at function-space coordinate ``ids[v]``.  Row X of
+    the result carries (n!)^(-1/2) at every ordering of the tuple ids[X].
+    """
+    n = basis.n
+    findex = FunctionSpaceIndex(size, n)
+    # (n!, n) orderings; at n = 0 the one empty ordering gives shape (1, 0)
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    tuples = ids[basis.array()][:, perms]
+    cols = (tuples @ size ** np.arange(n - 1, -1, -1, dtype=np.int64)).ravel()
+    rows = np.repeat(np.arange(basis.dim), len(perms))
+    scale, _ = _sqrt_factorial_scales(n)
+    return SparseSymOp(shape=(basis.dim, findex.dim), rows=rows, cols=cols,
+                       vals=np.full(len(rows), scale), symmetric=False)
+
+
 def contraction_T(g, n):
     """The map from n-particle functions to the n-magnon sector.
 
@@ -450,17 +468,7 @@ def contraction_T(g, n):
     {x_1..x_n}; tuples with repeated vertices are annihilated.
     """
     V = g.vertex_count
-    findex = FunctionSpaceIndex(V, n)
-    basis = MagnonBasis(V, n)
-    scale, _ = _sqrt_factorial_scales(n)
-    rows, cols = [], []
-    for tup in findex.tuples():
-        if len(set(tup)) == n:
-            rows.append(basis.rank(tup))
-            cols.append(findex.encode(tup))
-    return SparseSymOp(shape=(basis.dim, findex.dim), rows=np.array(rows),
-                       cols=np.array(cols),
-                       vals=np.full(len(rows), scale), symmetric=False)
+    return _contraction(MagnonBasis(V, n), np.arange(V), V)
 
 
 def contraction_T_box(d, N, n):
@@ -472,24 +480,11 @@ def contraction_T_box(d, N, n):
     """
     from .graph import lambda_spec, make_box, make_lambda
 
-    spec = lambda_spec(d, N)
-    box = make_box(d, spec.L_plus)
+    box = make_box(d, lambda_spec(d, N).L_plus)
     lam = make_lambda(d, N)
     box_pos = {p: i for i, p in enumerate(box.points)}
-    lam_ids = [box_pos[p] for p in lam.points]  # box index of each lattice vertex
-    findex = FunctionSpaceIndex(box.vertex_count, n)
-    basis = MagnonBasis(lam.vertex_count, n)
-    scale, _ = _sqrt_factorial_scales(n)
-    rows, cols = [], []
-    for subset in itertools.combinations(range(lam.vertex_count), n):
-        r = basis.rank(subset)
-        box_tuple = [lam_ids[v] for v in subset]
-        for perm in itertools.permutations(box_tuple):
-            rows.append(r)
-            cols.append(findex.encode(perm))
-    return SparseSymOp(shape=(basis.dim, findex.dim), rows=np.array(rows),
-                       cols=np.array(cols),
-                       vals=np.full(len(rows), scale), symmetric=False)
+    lam_ids = np.array([box_pos[p] for p in lam.points], dtype=np.int64)
+    return _contraction(MagnonBasis(lam.vertex_count, n), lam_ids, box.vertex_count)
 
 
 def lower_function(F, vertex_count):

@@ -167,6 +167,30 @@ def test_rho_empty_good_set():
         _geometry(1, 1, 2)  # one lattice point cannot host two distinct magnons
 
 
+def _nearest_good_oracle(d, N, n):
+    """Brute force over all pairs of box tuple and good tuple: l1 distance to
+    the good set and the smallest row-major index attaining it."""
+    L = lambda_spec(d, N).L_plus
+    lattice = set(make_lambda(d, N).points)
+    box = list(itertools.product(range(1, L + 1), repeat=d))
+    tuples = list(itertools.product(box, repeat=n))  # row-major order
+    good = [i for i, t in enumerate(tuples) if set(t) <= lattice and len(set(t)) == n]
+    arr = np.array(tuples)
+    l1 = np.abs(arr[:, None] - arr[good][None]).sum(axis=(2, 3))
+    dist = l1.min(axis=1)
+    return dist, np.array(good)[np.argmax(l1 == dist[:, None], axis=1)]
+
+
+@pytest.mark.parametrize("d, N, n", [
+    (1, 4, 2), (1, 6, 2), (2, 8, 2), (2, 12, 2), (2, 7, 3), (3, 10, 2), (1, 8, 3),
+])
+def test_geometry_matches_l1_oracle(d, N, n):
+    dist, nearest = _nearest_good_oracle(d, N, n)
+    geo = _geometry(d, N, n)
+    assert np.array_equal(geo.dist, dist)
+    assert np.array_equal(geo.nearest, nearest)
+
+
 # ---------------------------------------------------------------- extension
 
 def test_extension_roundtrip_exact_basis_vectors():

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+import heis.cli
 from heis.cli import main, parse_graph_spec, parse_modes
 from heis.errors import ParseError
 from heis.graph import make_box, make_lambda, make_ring
@@ -70,6 +71,18 @@ def test_spectrum_figure_compat_scales_exactly(capsys):
     b = json.loads(scaled)["results"]["1"]["levels"]
     for x, y in zip(a, b):
         assert y["energy"] == 2.0 * x["energy"]
+
+
+def test_spectrum_passes_seed_to_energy_level(capsys, monkeypatch):
+    calls = []
+
+    def record(g, n, **kwargs):
+        calls.append(kwargs)
+        return 0.0
+
+    monkeypatch.setattr(heis.cli, "energy_level", record)
+    run(capsys, "spectrum", "--graph", "path:L=4", "--sector", "1", "--seed", "7")
+    assert calls == [{"method": "auto", "seed": 7}]
 
 
 def test_spectrum_requires_sector(capsys):

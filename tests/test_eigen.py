@@ -102,6 +102,12 @@ def test_min_eig_rejects_sloppy_deflation():
         min_eig(H, deflate=bad)
 
 
+@pytest.mark.parametrize("deflate", [np.ones(4) / 2, np.eye(5)[:, :1]])
+def test_min_eig_rejects_misshapen_deflation(deflate):
+    with pytest.raises(ValueError, match="deflation"):
+        min_eig(hamiltonian_magnon(make_path(4), 1), deflate=deflate)
+
+
 @pytest.mark.parametrize("method", ["dense", "krylov"])
 def test_min_eig_rejects_full_deflation(method):
     with pytest.raises(ValueError, match="whole operator domain"):

@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
@@ -234,6 +235,24 @@ def test_new_low_index_definition(seq, N):
         if i + 1 >= N and seq[i] == min(seq[: i + 1])
     ]
     assert got == (candidates[0] if candidates else math.inf)
+
+
+@st.composite
+def weighted_graphs(draw):
+    V = draw(st.integers(2, 8))
+    pairs = list(itertools.combinations(range(V), 2))
+    edges = sorted(draw(st.lists(st.sampled_from(pairs), unique=True)))
+    couplings = draw(st.lists(st.floats(0, 2), min_size=len(edges), max_size=len(edges)))
+    return Graph(tuple(range(V)), tuple(edges), tuple(couplings))
+
+
+@settings(max_examples=40, deadline=None)
+@given(weighted_graphs())
+def test_foel_one_holds_on_random_graphs(g):
+    # Aldous' spectral-gap conjecture (Caputo, Liggett, Richthammer 2010):
+    # the interchange process has the random walk's gap, so E_1 <= E_n
+    verdict = foel_check(g, 1)
+    assert verdict.holds and not verdict.incomplete
 
 
 def test_new_low_index_examples():

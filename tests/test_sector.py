@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heis.errors import ParseError, SizeBudgetError
-from heis.graph import make_box, make_lambda, make_path, make_ring
+from heis.graph import lambda_spec, make_box, make_lambda, make_path, make_ring
 from heis.sector import (
     SECTOR_BUDGET,
     FunctionSpaceIndex,
@@ -431,6 +431,52 @@ def test_contraction_box_restricts_to_lattice_points():
     corner = np.zeros(9)
     corner[8] = 1.0  # point (3,3), lexicographically last in the box
     assert np.max(np.abs(T @ corner)) == 0.0
+
+
+def _contraction_reference(ids, size, n):
+    """Per-tuple loop: every ordering of every n-subset of sector vertices,
+    each at the row-major index of its function-space coordinates."""
+    V = len(ids)
+    basis = MagnonBasis(V, n)
+    T = np.zeros((basis.dim, size ** n))
+    for subset in itertools.combinations(range(V), n):
+        for perm in itertools.permutations(subset):
+            col = 0
+            for v in perm:
+                col = col * size + ids[v]
+            T[basis.rank(subset), col] = math.sqrt(1.0 / math.factorial(n))
+    return T
+
+
+@pytest.mark.parametrize("g, n", [(make_path(5), 2), (make_ring(6), 3)])
+def test_contraction_matches_reference_loop(g, n):
+    V = g.vertex_count
+    assert np.array_equal(contraction_T(g, n).to_dense(),
+                          _contraction_reference(range(V), V, n))
+
+
+@pytest.mark.parametrize("d, N, n", [
+    (1, 4, 2), (1, 6, 2), (2, 8, 1), (2, 8, 2), (2, 9, 2), (2, 12, 2),
+    (2, 16, 3), (3, 27, 2), (1, 8, 3),
+])
+def test_contraction_box_matches_reference_loop(d, N, n):
+    box = make_box(d, lambda_spec(d, N).L_plus)
+    box_pos = {p: i for i, p in enumerate(box.points)}
+    ids = [box_pos[p] for p in make_lambda(d, N).points]
+    assert np.array_equal(contraction_T_box(d, N, n).to_dense(),
+                          _contraction_reference(ids, box.vertex_count, n))
+
+
+def test_contraction_zero_particles_is_unit():
+    assert np.array_equal(contraction_T(make_path(3), 0).to_dense(), [[1.0]])
+    assert np.array_equal(contraction_T_box(2, 8, 0).to_dense(), [[1.0]])
+
+
+def test_lower_function_scalar_intertwines_with_contraction():
+    g = make_path(4)
+    lhs = contraction_T(g, 1).to_csr() @ lower_function(np.float64(2.5), 4)
+    rhs = lowering_matrix(g, 1).to_csr() @ (contraction_T(g, 0).to_csr() @ [2.5])
+    assert np.array_equal(lhs, rhs)
 
 
 def test_lower_function_base_cases():
