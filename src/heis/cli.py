@@ -145,7 +145,7 @@ def cmd_spectrum(args):
 def cmd_foel(args):
     g = parse_graph_spec(args.graph)
     verdict = foel_check(g, args.n, strict=args.strict, tol=args.tol,
-                         method=args.method)
+                         method=args.method, seed=args.seed)
     result = {
         "n": verdict.n,
         "holds": verdict.holds,

@@ -3,6 +3,7 @@ diluted-coupling induction harness over the growing lattice family."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -16,7 +17,6 @@ from .eigen import lowest_eig
 #: Absolute tolerance for energy comparisons (spectra here are O(1)).
 ENERGY_TOL = 1e-9
 
-_BISECT_MAX_ITER = 60
 _PRESCAN_POINTS = 16
 
 
@@ -126,12 +126,12 @@ def energy_levels(g, method="auto", graph_id=""):
     return EnergyLevels(graph_id=graph_id, values=vals)
 
 
-def foel_check(g, n, strict=False, tol=ENERGY_TOL, method="auto"):
+def foel_check(g, n, strict=False, tol=ENERGY_TOL, method="auto", seed=0):
     """Check that no level above n dips below the level-n energy.
 
     In strict mode every level n' > n must exceed the level-n energy by more
     than ``tol``.  Solver failures mark the verdict incomplete instead of
-    deciding it.
+    deciding it.  ``seed`` seeds the ARPACK start vectors.
     """
     V = g.vertex_count
     if n > V // 2:
@@ -140,7 +140,7 @@ def foel_check(g, n, strict=False, tol=ENERGY_TOL, method="auto"):
     incomplete = False
     for m in range(n, V // 2 + 1):
         try:
-            energies[m] = energy_level(g, m, method=method)
+            energies[m] = energy_level(g, m, method=method, seed=seed)
         except HeisError:
             incomplete = True
             energies[m] = math.nan
@@ -160,24 +160,21 @@ def foel_check(g, n, strict=False, tol=ENERGY_TOL, method="auto"):
 
 
 def _match_couplings(prev_graph, prev_J, next_graph):
-    """Interpolation data: per next-edge (J_start, J_target)."""
+    """Interpolation data: per next-edge (J_start, J_target).
+
+    Both graphs are matched through :meth:`Graph.edge_keys`, so an edge of
+    the previous graph is the next graph's edge between the same vertex keys.
+    """
     prev_map = prev_graph.with_couplings(prev_J).edge_keys()
     prev_keys = set(prev_graph.vertex_keys())
     next_keys = set(next_graph.vertex_keys())
     if not prev_keys < next_keys or len(next_keys) != len(prev_keys) + 1:
         raise ValueError("next graph must extend the previous one by one vertex")
-    idx = next_graph.index_of()
-    data = []
-    covered = set()
-    for (u, v), target in zip(next_graph.edges, next_graph.couplings):
-        key = frozenset((next_graph.key(idx[u]), next_graph.key(idx[v])))
-        start = prev_map.get(key, 0.0)
-        if key in prev_map:
-            covered.add(key)
-        data.append(((u, v), start, target))
-    if covered != set(prev_map):
+    next_map = next_graph.edge_keys()
+    if not set(prev_map) <= set(next_map):
         raise ValueError("previous edges are not a subset of the next graph's")
-    return data
+    return [(e, prev_map.get(key, 0.0), target)
+            for e, (key, target) in zip(next_graph.edges, next_map.items())]
 
 
 def dilute_extend(prev, next_graph, n, tol=ENERGY_TOL, method="auto", seed=0):
@@ -185,18 +182,31 @@ def dilute_extend(prev, next_graph, n, tol=ENERGY_TOL, method="auto", seed=0):
 
     ``prev`` is a (graph, couplings, energy) triple; ``next_graph`` adds one
     vertex and possibly new edges.  Couplings are interpolated as
-    (1-t) J_prev + t J_target; if the fully-coupled energy does not exceed
-    the previous one the step closes at t=1, otherwise the largest t with
-    matching energy is found by bisection (the map t -> energy is
-    non-decreasing, which a coarse pre-scan verifies).
+    J(t) = (1-t) J_prev + t J_target.  If the fully-coupled energy does not
+    exceed the previous one the step closes at t=1 (case 1); otherwise the
+    t with matching energy is found by bisection (case 2).
+
+    The method is valid because H(J(t)) is affine in t and the highest-weight
+    subspace of spin deviate n does not depend on the couplings, so
+    E(t) = min over unit states psi in it of <psi, H(J(t)) psi> is a minimum
+    of affine functions of t: concave, and non-decreasing while every coupling
+    grows (each bond term is positive semidefinite).  A concave,
+    non-decreasing E with E(1) above the previous energy is strictly
+    increasing, so the crossing is unique.  A 16-point pre-scan checks the
+    monotonicity, t=0 must bracket the crossing, and the bisection halves
+    [0, 1] to width 1e-13 (44 solves) keeping the side where E does not
+    exceed the previous energy.  Each t is solved once.  Raises
+    :class:`NumericalError` when a check fails or the final energy misses
+    the previous one by more than ``tol``.
     """
     prev_graph, prev_J, prev_energy = prev
-    if math.isinf(prev_energy):
-        raise ValueError("previous energy is infinite; start the chain at 2n vertices")
+    if not math.isfinite(prev_energy):
+        raise ValueError("previous energy must be finite; start the chain at 2n vertices")
     if prev_J is None:
-        prev_J = dict(zip(prev_graph.edges, prev_graph.couplings))
+        prev_J = prev_graph.coupling_map()
     data = _match_couplings(prev_graph, prev_J, next_graph)
 
+    @functools.cache
     def energy_at(t):
         J = {e: (1.0 - t) * start + t * target for e, start, target in data}
         return energy_level(next_graph.with_couplings(J), n, method=method, seed=seed), J
@@ -205,33 +215,27 @@ def dilute_extend(prev, next_graph, n, tol=ENERGY_TOL, method="auto", seed=0):
     if e1 <= prev_energy + tol:
         return DiluteStep(t_star=1.0, couplings=J1, energy=e1, case=1)
 
-    # Case 2: scan to confirm monotonicity, then bisect for the rightmost crossing.
     grid = np.linspace(0.0, 1.0, _PRESCAN_POINTS)
-    scan = [energy_at(t) for t in grid]
-    energies = [e for e, _ in scan]
-    drops = [energies[i + 1] - energies[i] for i in range(len(energies) - 1)]
-    if min(drops) < -100 * tol:
+    energies = [energy_at(t)[0] for t in grid]
+    if min(np.diff(energies)) < -100 * tol:
         raise NumericalError(
             "energy is not monotone in the interpolation parameter",
             diagnostics={"t_grid": list(grid), "energies": energies},
         )
-    lo, (e_lo, J_lo) = 0.0, scan[0]
-    if e_lo > prev_energy + tol:
+    if energies[0] > prev_energy + tol:
         raise NumericalError(
             "no bracket: energy at t=0 already exceeds the previous level",
-            diagnostics={"energy_at_0": e_lo, "prev_energy": prev_energy},
+            diagnostics={"energy_at_0": energies[0], "prev_energy": prev_energy},
         )
-    hi = 1.0
-    for _ in range(_BISECT_MAX_ITER):
-        if hi - lo <= 1e-13 and abs(e_lo - prev_energy) <= tol:
-            break
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-13:
         mid = 0.5 * (lo + hi)
-        e_mid, J_mid = energy_at(mid)
         # keep lo on the <= side so it converges to the rightmost crossing
-        if e_mid <= prev_energy:
-            lo, e_lo, J_lo = mid, e_mid, J_mid
+        if energy_at(mid)[0] <= prev_energy:
+            lo = mid
         else:
             hi = mid
+    e_lo, J_lo = energy_at(lo)
     if abs(e_lo - prev_energy) > tol:
         raise NumericalError(
             "bisection failed to match the previous energy",
@@ -350,7 +354,7 @@ def induction_run(d, n, N_max, tol=ENERGY_TOL, method="auto", seed=0):
     problems = []
     try:
         chain_graphs = [graphs[N] for N in N_values]
-        couplings = [dict(zip(chain_graphs[0].edges, chain_graphs[0].couplings))]
+        couplings = [chain_graphs[0].coupling_map()]
         energies = [energy[(N_values[0], n)]]
         t_values = [1.0]
         for i in range(1, len(N_values)):
@@ -365,7 +369,7 @@ def induction_run(d, n, N_max, tol=ENERGY_TOL, method="auto", seed=0):
         diluted = DilutedSequence(graphs=chain_graphs, couplings=couplings,
                                   t_values=t_values, energies=energies)
         problems = diluted.check_invariants(tol=max(tol, 1e-8))
-    except (NumericalError, ValueError) as exc:
+    except (HeisError, ValueError) as exc:
         failures.append({"stage": "dilution", "error": str(exc)})
 
     return InductionReport(

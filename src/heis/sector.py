@@ -414,14 +414,7 @@ def free_laplacian(g, n):
     V = g.vertex_count
     if V ** n > FUNCTION_SPACE_BUDGET:
         raise SizeBudgetError(f"|V|^n = {V ** n} exceeds function-space budget")
-    edges = _indexed_edges(g)
-    one = sp.lil_matrix((V, V))
-    for (u, v, j) in edges:
-        one[u, u] += 0.5 * j
-        one[v, v] += 0.5 * j
-        one[u, v] -= 0.5 * j
-        one[v, u] -= 0.5 * j
-    one = one.tocsr()
+    one = hamiltonian_magnon(g, 1).to_csr()     # the one-particle Laplacian
     total = sp.csr_matrix((V ** n, V ** n))
     for k in range(n):
         left = sp.identity(V ** k, format="csr")

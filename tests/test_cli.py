@@ -4,8 +4,11 @@ import time
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackError
 
 import heis.cli
+import heis.eigen
+import heis.foel
 from heis.cli import main, parse_graph_spec, parse_modes
 from heis.errors import ParseError
 from heis.graph import make_box, make_lambda, make_ring
@@ -85,6 +88,18 @@ def test_spectrum_passes_seed_to_energy_level(capsys, monkeypatch):
     assert calls == [{"method": "auto", "seed": 7}]
 
 
+def test_foel_passes_seed_to_energy_level(capsys, monkeypatch):
+    calls = []
+
+    def record(g, n, **kwargs):
+        calls.append(kwargs)
+        return 0.0
+
+    monkeypatch.setattr(heis.foel, "energy_level", record)
+    run(capsys, "foel", "--graph", "path:L=4", "--n", "1", "--seed", "7")
+    assert calls == [{"method": "auto", "seed": 7}] * 2
+
+
 def test_spectrum_requires_sector(capsys):
     code, _, err = run(capsys, "spectrum", "--graph", "path:L=3")
     assert code == 2
@@ -135,6 +150,15 @@ def test_induct_d1(capsys):
     assert all(r["is_new_low"] for r in rows)
     assert rep["results"]["verdicts"][-1] == {"N": 8, "foel_level": 1,
                                               "holds": True}
+
+
+def test_induct_dilution_solver_failure_keeps_report(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ArpackError(-9)
+    monkeypatch.setattr(heis.eigen, "eigsh", fail)
+    code, out, _ = run(capsys, "induct", "--d", "1", "--n", "4", "--N-max", "11")
+    assert code == 3
+    assert json.loads(out)["results"]["partial"] is True
 
 
 def test_spinwave_command(capsys):

@@ -37,9 +37,15 @@ def test_energy_level_beyond_equator_is_infinite():
     assert energy_level(make_path(4), 2) < math.inf
 
 
-def test_energy_level_path8_closed_form():
-    got = energy_level(make_box(1, 8), 1)
-    assert got == pytest.approx(1 - math.cos(math.pi / 8), abs=1e-10)
+def test_path_one_magnon_levels_closed_form():
+    # the one-magnon block of the open chain is the path Laplacian (1/2
+    # convention), whose eigenvalues are 1 - cos(pi k / L), k = 0..L-1
+    for L in range(2, 41):
+        g = make_path(L)
+        exact = 1 - np.cos(np.pi * np.arange(L) / L)
+        levels = np.linalg.eigvalsh(hamiltonian_magnon(g, 1).to_dense())
+        assert np.allclose(levels, np.sort(exact), rtol=0, atol=1e-13)
+        assert energy_level(g, 1) == pytest.approx(exact[1], abs=1e-13)
 
 
 def test_energy_level_path3():
@@ -74,6 +80,11 @@ def test_energy_level_wraps_arpack_failures(monkeypatch, exc):
     v = foel_check(make_path(8), 1, method="krylov")
     assert v.incomplete
     assert math.isnan(v.energies[2])
+    # the chain step to N = 11 solves a dim-330 sector by ARPACK: the failure
+    # is recorded, not raised
+    rep = induction_run(1, 4, 11)
+    assert rep.partial and rep.diluted is None
+    assert rep.failures[-1]["stage"] == "dilution"
 
 
 def test_programming_errors_propagate(monkeypatch):
@@ -159,6 +170,14 @@ def test_foel_holds_for_small_paths():
             assert v.holds, (L, n, v.violations)
 
 
+@pytest.mark.parametrize("L", range(9, 15))
+def test_open_chain_levels_strictly_ordered(L):
+    # E_0 < E_1 < ... < E_{L/2} on open chains (Nachtergaele, Spitzer and
+    # Starr, J. Stat. Phys. 2004); the smallest gap here is 0.025 at L = 14
+    levels = [energy_level(make_path(L), n) for n in range(L // 2 + 1)]
+    assert np.all(np.diff(levels) > 1e-3)
+
+
 def test_foel_level_zero_always_holds():
     for g in (make_path(5), make_ring(6), make_box(2, 2)):
         assert foel_check(g, 0).holds
@@ -189,12 +208,14 @@ def test_dilute_extend_case1():
 
 
 def test_dilute_extend_case2_triangle():
-    # closing the triangle raises the level-1 energy to 1.5 > 1
+    # closing the triangle raises the level-1 energy to 1.5 > 1; with the new
+    # edges at t the one-magnon levels are 1 + t/2 and 3t/2, so
+    # E(t) = min(1 + t/2, 3t/2) crosses 1 at t* = 2/3
     prev = Graph((0, 1), ((0, 1),), (1.0,))
     tri = make_ring(3)
     step = dilute_extend((prev, {(0, 1): 1.0}, 1.0), tri, 1, tol=1e-10)
     assert step.case == 2
-    assert 0.0 < step.t_star < 1.0
+    assert step.t_star == pytest.approx(2 / 3, abs=1e-12)
     assert step.energy == pytest.approx(1.0, abs=1e-9)
     # scan confirms the located crossing is the rightmost one
     for t in np.linspace(step.t_star + 1e-6, 1.0, 8):
@@ -203,7 +224,8 @@ def test_dilute_extend_case2_triangle():
 
 
 def test_dilute_extend_solves_t0_once(monkeypatch):
-    # the t = 0 couplings come from the pre-scan, not from a second solve
+    # every t is solved once: t = 1 serves both the case-1 check and the
+    # pre-scan, t = 0 both the pre-scan and the bracket check
     solved = []
 
     def counting(g, n, **kwargs):
@@ -214,11 +236,15 @@ def test_dilute_extend_solves_t0_once(monkeypatch):
     step = dilute_extend((prev, {(0, 1): 1.0}, 1.0), make_ring(3), 1, tol=1e-10)
     assert step.case == 2
     assert solved.count((1.0, 0.0, 0.0)) == 1
+    assert len(set(solved)) == len(solved) == 1 + 15 + 44   # t=1, grid, halvings
 
 
 def test_dilute_extend_rejects_infinite_start():
     with pytest.raises(ValueError):
         dilute_extend((make_box(1, 2), None, math.inf), make_path(3), 2)
+    # a failed grid solve leaves NaN, which must not pass for an energy
+    with pytest.raises(ValueError):
+        dilute_extend((make_box(1, 2), None, math.nan), make_path(3), 1)
 
 
 def test_dilute_extend_requires_extension():
