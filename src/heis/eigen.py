@@ -92,18 +92,20 @@ def full_spectrum(op, with_vectors=True):
     return EigResult(values=vals, method="dense")
 
 
-def lowest_eig(apply, project, dim, method, tol, seed):
+def lowest_eig(apply, project, dim, method, tol, seed, vector=True):
     """Lowest eigenpair of the symmetric operator x -> apply(x) on R^dim.
 
     ``method="auto"`` is dense at or below ``DENSE_CUTOFF`` and ARPACK above.
     The dense solve (also for dim 1, which ARPACK cannot take) materialises
     apply(I) and raises :class:`SizeBudgetError` above ``DENSE_BUDGET``
-    first.  ARPACK solves to relative residual ``tol`` from ``project``
-    applied to a random vector; ``seed`` seeds it and the restart vectors,
-    so the result is deterministic.  ARPACK stops with error -9 when the
-    operator annihilates its start vector (the zero operator does, at every
-    size), so it runs on the operator plus the identity and the shift is
-    undone.  ARPACK failures raise :class:`ConvergenceError`.
+    first; with ``vector=False`` it computes the eigenvalue alone and
+    returns ``None`` for the vector.  ARPACK solves to relative residual
+    ``tol`` from ``project`` applied to a random vector; ``seed`` seeds it
+    and the restart vectors, so the result is deterministic.  ARPACK stops
+    with error -9 when the operator annihilates its start vector (the zero
+    operator does, at every size), so it runs on the operator plus the
+    identity and the shift is undone.  ARPACK failures raise
+    :class:`ConvergenceError`.
     """
     if method == "auto":
         method = "dense" if dim <= DENSE_CUTOFF else "krylov"
@@ -113,7 +115,10 @@ def lowest_eig(apply, project, dim, method, tol, seed):
         if dim > DENSE_BUDGET:
             raise SizeBudgetError(
                 f"dim {dim} exceeds dense budget {DENSE_BUDGET}; use the krylov path")
-        vals, vecs = scipy.linalg.eigh(apply(np.eye(dim)), subset_by_index=[0, 0])
+        A = apply(np.eye(dim))
+        if not vector:
+            return float(scipy.linalg.eigh(A, subset_by_index=[0, 0], eigvals_only=True)[0]), None
+        vals, vecs = scipy.linalg.eigh(A, subset_by_index=[0, 0])
         return float(vals[0]), vecs[:, 0]
     v0 = project(np.random.default_rng(seed).standard_normal(dim))
     shifted = LinearOperator((dim, dim), matvec=lambda x: apply(x) + x, dtype=np.float64)

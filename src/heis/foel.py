@@ -17,7 +17,11 @@ from .eigen import lowest_eig
 #: Absolute tolerance for energy comparisons (spectra here are O(1)).
 ENERGY_TOL = 1e-9
 
-_PRESCAN_POINTS = 16
+#: The dilution's Newton iteration stops at a step of at most this width.
+_STEP_TOL = 1e-13
+
+#: Most energy solves one dilution step may make.
+_MAX_SOLVES = 60
 
 
 @dataclass
@@ -56,21 +60,24 @@ class DilutedSequence:
     couplings: list             # list of per-graph edge -> J dicts
     t_values: list
     energies: list
+    new_lows: list = field(default_factory=list)    # vertex counts N of new-low stages
 
     def check_invariants(self, tol=1e-8):
         """Verify the defining properties of a diluted system.
 
-        Couplings stay at most the target (1 at the end), grow along the
-        chain on shared edges, and the level energies never increase.
+        Couplings stay at most the target 1, reach it at every new-low stage
+        (there the fully-coupled energy is a running minimum, so the step
+        closes at t=1), grow along the chain on shared edges, and the level
+        energies never increase.
         """
         problems = []
         for k, (g, J) in enumerate(zip(self.graphs, self.couplings)):
-            last = k == len(self.graphs) - 1
+            new_low = g.vertex_count in self.new_lows
             for e in g.edges:
                 if J[e] > 1.0 + tol:
                     problems.append(f"stage {k}: J{e} = {J[e]} exceeds 1")
-                if last and abs(J[e] - 1.0) > tol:
-                    problems.append(f"final stage: J{e} = {J[e]} != 1")
+                if new_low and abs(J[e] - 1.0) > tol:
+                    problems.append(f"new-low stage {k}: J{e} = {J[e]} != 1")
         for k in range(len(self.graphs) - 1):
             nxt = self.graphs[k + 1]
             nxt_J = nxt.with_couplings(self.couplings[k + 1]).edge_keys()
@@ -101,15 +108,22 @@ def energy_level(g, n, method="auto", tol=1e-10, seed=0):
     the sector exceeds ``SECTOR_BUDGET`` (or ``DENSE_BUDGET`` with
     ``method="dense"``) and :class:`ConvergenceError` when ARPACK fails.
     """
+    return _lowest_level(g, n, method=method, tol=tol, seed=seed, vector=False)[0]
+
+
+def _lowest_level(g, n, method, tol, seed, vector):
+    """(E_n, unit eigenvector in the highest-weight space) as in
+    :func:`energy_level`; the vector is ``None`` when n > V/2, and with
+    ``vector=False`` also on the dense path, which then skips computing it."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if method not in ("auto", "dense", "krylov"):
         raise ValueError(f"unknown method {method!r}")
     V = g.vertex_count
     if n > V // 2:
-        return math.inf
+        return math.inf, None
     if n == 0:
-        return 0.0
+        return 0.0, np.ones(1)
     H = hamiltonian_magnon(g, n)
     lift = H.norm_inf() + 1.0
     H = H.to_csr()
@@ -118,11 +132,13 @@ def energy_level(g, n, method="auto", tol=1e-10, seed=0):
     def apply(x):
         return H @ x + lift * (x - project(x))
 
-    return lowest_eig(apply, project, H.shape[0], method=method, tol=tol, seed=seed)[0]
+    return lowest_eig(apply, project, H.shape[0], method=method, tol=tol, seed=seed,
+                      vector=vector)
 
 
-def energy_levels(g, method="auto", graph_id=""):
-    vals = {n: energy_level(g, n, method=method) for n in range(g.vertex_count // 2 + 1)}
+def energy_levels(g, method="auto", graph_id="", seed=0):
+    vals = {n: energy_level(g, n, method=method, seed=seed)
+            for n in range(g.vertex_count // 2 + 1)}
     return EnergyLevels(graph_id=graph_id, values=vals)
 
 
@@ -182,66 +198,87 @@ def dilute_extend(prev, next_graph, n, tol=ENERGY_TOL, method="auto", seed=0):
 
     ``prev`` is a (graph, couplings, energy) triple; ``next_graph`` adds one
     vertex and possibly new edges.  Couplings are interpolated as
-    J(t) = (1-t) J_prev + t J_target.  If the fully-coupled energy does not
-    exceed the previous one the step closes at t=1 (case 1); otherwise the
-    t with matching energy is found by bisection (case 2).
+    J(t) = (1-t) J_prev + t J_target, and none may shrink: a target below
+    its start by more than ``tol`` raises ``ValueError`` before any solve.
+    If the fully-coupled energy does not exceed the previous one the step
+    closes at t=1 (case 1); otherwise at the t* where the level-n energy
+    E(t) meets the previous energy (case 2).
 
-    The method is valid because H(J(t)) is affine in t and the highest-weight
-    subspace of spin deviate n does not depend on the couplings, so
-    E(t) = min over unit states psi in it of <psi, H(J(t)) psi> is a minimum
-    of affine functions of t: concave, and non-decreasing while every coupling
-    grows (each bond term is positive semidefinite).  A concave,
-    non-decreasing E with E(1) above the previous energy is strictly
-    increasing, so the crossing is unique.  A 16-point pre-scan checks the
-    monotonicity, t=0 must bracket the crossing, and the bisection halves
-    [0, 1] to width 1e-13 (44 solves) keeping the side where E does not
-    exceed the previous energy.  Each t is solved once.  Raises
-    :class:`NumericalError` when a check fails or the final energy misses
-    the previous one by more than ``tol``.
+    H is linear in the couplings, so H(J(t)) = H_0 + t D with
+    H_0 = H(J_prev) and D = H(J_target - J_prev), a sum of bond terms with
+    nonnegative couplings and hence positive semidefinite.  The
+    highest-weight subspace of spin deviate n does not depend on the
+    couplings, so E(t) = min over its unit states psi of
+    <psi, H_0 psi> + t <psi, D psi> is a minimum of non-decreasing affine
+    functions of t: concave and non-decreasing, so with E(1) above the
+    previous energy the crossing t* is unique.  For the unit lowest state
+    psi_t at t, the line l_t(s) = E(t) + (s - t) <psi_t, D psi_t> is one of
+    those functions, so l_t(s) >= E(s) with equality at s = t (a
+    supergradient).  Each Newton step moves to the s where l_t(s) meets the
+    previous energy, clamped at 0; then E(s) <= l_t(s), so s <= t*, and
+    from t = 1 the iterates rise monotonically to t*.  They stop when a
+    step is at most 1e-13.  Each t is solved once.
+
+    Raises :class:`NumericalError` when E(0) already exceeds the previous
+    energy (no crossing), when a slope below t = 1 is not positive or an
+    iterate falls (both contradict concavity), after ``_MAX_SOLVES``
+    solves, or when the final energy misses the previous one by more than
+    ``tol``.
     """
     prev_graph, prev_J, prev_energy = prev
-    if not math.isfinite(prev_energy):
+    if not math.isfinite(prev_energy) or 2 * n > prev_graph.vertex_count:
         raise ValueError("previous energy must be finite; start the chain at 2n vertices")
     if prev_J is None:
         prev_J = prev_graph.coupling_map()
     data = _match_couplings(prev_graph, prev_J, next_graph)
+    shrunk = [row for row in data if row[2] < row[1] - tol]
+    if shrunk:
+        raise ValueError(f"couplings shrink along the chain (edge, J_prev, J_target): {shrunk}")
 
     @functools.cache
     def energy_at(t):
         J = {e: (1.0 - t) * start + t * target for e, start, target in data}
-        return energy_level(next_graph.with_couplings(J), n, method=method, seed=seed), J
+        g = next_graph.with_couplings(J)
+        return *_lowest_level(g, n, method=method, tol=1e-10, seed=seed, vector=True), J
 
-    e1, J1 = energy_at(1.0)
-    if e1 <= prev_energy + tol:
-        return DiluteStep(t_star=1.0, couplings=J1, energy=e1, case=1)
+    e, psi, J = energy_at(1.0)
+    if e <= prev_energy + tol:
+        return DiluteStep(t_star=1.0, couplings=J, energy=e, case=1)
 
-    grid = np.linspace(0.0, 1.0, _PRESCAN_POINTS)
-    energies = [energy_at(t)[0] for t in grid]
-    if min(np.diff(energies)) < -100 * tol:
-        raise NumericalError(
-            "energy is not monotone in the interpolation parameter",
-            diagnostics={"t_grid": list(grid), "energies": energies},
-        )
-    if energies[0] > prev_energy + tol:
-        raise NumericalError(
-            "no bracket: energy at t=0 already exceeds the previous level",
-            diagnostics={"energy_at_0": energies[0], "prev_energy": prev_energy},
-        )
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        # keep lo on the <= side so it converges to the rightmost crossing
-        if energy_at(mid)[0] <= prev_energy:
-            lo = mid
+    increments = {edge: target - start for edge, start, target in data}
+    D = hamiltonian_magnon(next_graph.with_couplings(increments), n).to_csr()
+    t = 1.0
+    while True:
+        slope = float(psi @ (D @ psi))
+        diagnostics = {"t": t, "energy": e, "slope": slope, "prev_energy": prev_energy}
+        if slope > 0:
+            s = max(0.0, t - (e - prev_energy) / slope)
+        elif t == 1.0:
+            s = 0.0
         else:
-            hi = mid
-    e_lo, J_lo = energy_at(lo)
-    if abs(e_lo - prev_energy) > tol:
+            raise NumericalError("energy slope is not positive below t=1",
+                                 diagnostics=diagnostics)
+        if t < 1.0 and s < t - _STEP_TOL:
+            raise NumericalError("dilution iterate fell",
+                                 diagnostics={**diagnostics, "next_t": s})
+        if abs(s - t) <= _STEP_TOL:
+            break
+        if energy_at.cache_info().currsize >= _MAX_SOLVES:
+            raise NumericalError(f"no crossing within {_MAX_SOLVES} solves",
+                                 diagnostics=diagnostics)
+        t = s
+        e, psi, J = energy_at(t)
+        if t == 0.0 and e > prev_energy + tol:
+            raise NumericalError(
+                "no bracket: energy at t=0 already exceeds the previous level",
+                diagnostics={"energy_at_0": e, "prev_energy": prev_energy},
+            )
+    if abs(e - prev_energy) > tol:
         raise NumericalError(
-            "bisection failed to match the previous energy",
-            diagnostics={"t": lo, "energy": e_lo, "prev_energy": prev_energy},
+            "dilution failed to match the previous energy",
+            diagnostics={"t": t, "energy": e, "prev_energy": prev_energy},
         )
-    return DiluteStep(t_star=lo, couplings=J_lo, energy=e_lo, case=2)
+    return DiluteStep(t_star=t, couplings=J, energy=e, case=2)
 
 
 def new_low_index(seq, N, start=1):
@@ -367,7 +404,8 @@ def induction_run(d, n, N_max, tol=ENERGY_TOL, method="auto", seed=0):
             t_values.append(step.t_star)
             rows[i].t_star = step.t_star
         diluted = DilutedSequence(graphs=chain_graphs, couplings=couplings,
-                                  t_values=t_values, energies=energies)
+                                  t_values=t_values, energies=energies,
+                                  new_lows=list(new_lows))
         problems = diluted.check_invariants(tol=max(tol, 1e-8))
     except (HeisError, ValueError) as exc:
         failures.append({"stage": "dilution", "error": str(exc)})

@@ -152,6 +152,16 @@ def test_induct_d1(capsys):
                                               "holds": True}
 
 
+def test_induct_unfinished_low_exits_ok(capsys):
+    # the last rows (N = 8, 9) are not new lows, so their couplings stay
+    # diluted, and that is no violation
+    code, out, _ = run(capsys, "induct", "--d", "2", "--n", "1", "--N-max", "9")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["dilution_problems"] == []
+    assert results["rows"][-1]["t_star"] < 1.0
+
+
 def test_induct_dilution_solver_failure_keeps_report(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise ArpackError(-9)

@@ -17,6 +17,7 @@ from heis.eigen import (
     EigResult,
     full_spectrum,
     label_spins,
+    lowest_eig,
     min_eig,
     spectral_count,
 )
@@ -126,6 +127,18 @@ def test_min_eig_permutation_invariance(rng):
     val, _ = min_eig(H)
     val_p, _ = min_eig(H[np.ix_(perm, perm)])
     assert val == pytest.approx(val_p, abs=1e-12)
+
+
+@pytest.mark.parametrize("method", ["dense", "krylov"])
+def test_lowest_eig_value_only(method):
+    # the dense path skips the vector when asked; ARPACK returns it anyway
+    H = hamiltonian_magnon(make_lambda(2, 9), 2).to_csr()
+    apply, project = (lambda x: H @ x), (lambda x: x)
+    value, vec = lowest_eig(apply, project, H.shape[0], method, 1e-12, 0)
+    alone, skipped = lowest_eig(apply, project, H.shape[0], method, 1e-12, 0, vector=False)
+    assert alone == pytest.approx(value, abs=1e-12)
+    assert (skipped is None) == (method == "dense")
+    assert np.linalg.norm(H @ vec - value * vec) < 1e-8
 
 
 def test_spectral_count_basic():

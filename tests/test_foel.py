@@ -14,6 +14,7 @@ from heis.graph import Graph, make_box, make_lambda, make_path, make_ring
 from heis.sector import hamiltonian_magnon
 from heis.eigen import full_spectrum, spectral_count
 from heis.foel import (
+    DilutedSequence,
     dilute_extend,
     energy_level,
     energy_levels,
@@ -121,6 +122,17 @@ def test_energy_level_matches_spectral_count_jump():
         assert energy_level(g, n) == pytest.approx(jump, abs=1e-9)
 
 
+def test_energy_levels_passes_seed(monkeypatch):
+    calls = []
+
+    def record(g, n, **kwargs):
+        calls.append(kwargs)
+        return 0.0
+    monkeypatch.setattr(heis.foel, "energy_level", record)
+    energy_levels(make_path(4), seed=7)
+    assert calls == [{"method": "auto", "seed": 7}] * 3
+
+
 def test_energy_levels_container():
     lv = energy_levels(make_path(4), graph_id="path4")
     assert lv[0] == 0.0
@@ -224,27 +236,99 @@ def test_dilute_extend_case2_triangle():
 
 
 def test_dilute_extend_solves_t0_once(monkeypatch):
-    # every t is solved once: t = 1 serves both the case-1 check and the
-    # pre-scan, t = 0 both the pre-scan and the bracket check
+    # every t is solved once, and the Newton steps close the triangle in a
+    # handful of solves
     solved = []
 
-    def counting(g, n, **kwargs):
+    def counting(g, n, *args, **kwargs):
         solved.append(g.couplings)
-        return energy_level(g, n, **kwargs)
-    monkeypatch.setattr(heis.foel, "energy_level", counting)
+        return lowest_level(g, n, *args, **kwargs)
+    lowest_level = heis.foel._lowest_level
+    monkeypatch.setattr(heis.foel, "_lowest_level", counting)
     prev = Graph((0, 1), ((0, 1),), (1.0,))
     step = dilute_extend((prev, {(0, 1): 1.0}, 1.0), make_ring(3), 1, tol=1e-10)
     assert step.case == 2
-    assert solved.count((1.0, 0.0, 0.0)) == 1
-    assert len(set(solved)) == len(solved) == 1 + 15 + 44   # t=1, grid, halvings
+    assert len(set(solved)) == len(solved) <= 6
+
+
+def test_dilute_extend_solve_budget(monkeypatch):
+    # running out of solves raises instead of returning an unmatched t
+    monkeypatch.setattr(heis.foel, "_MAX_SOLVES", 1)
+    prev = Graph((0, 1), ((0, 1),), (1.0,))
+    with pytest.raises(NumericalError, match="1 solves"):
+        dilute_extend((prev, {(0, 1): 1.0}, 1.0), make_ring(3), 1)
+
+
+def test_dilute_extend_rejects_shrinking_coupling(monkeypatch):
+    # E(t) is non-decreasing only while every coupling grows
+    def fail(*args, **kwargs):
+        raise AssertionError("solved before the coupling check")
+    monkeypatch.setattr(heis.foel, "_lowest_level", fail)
+    prev = make_box(1, 2)
+    with pytest.raises(ValueError, match="shrink"):
+        dilute_extend((prev, {e: 2.0 for e in prev.edges}, 1.0), make_path(3), 1)
+
+
+def test_dilute_extend_no_bracket():
+    # E(0) = 0 (edge (1, 2) off leaves a zero mode) is already above -0.5
+    with pytest.raises(NumericalError, match="no bracket"):
+        dilute_extend((make_box(1, 2), None, -0.5), make_path(3), 1)
+
+
+@pytest.mark.parametrize("d, n, N_max", [(2, 4, 14), (2, 1, 12), (3, 1, 10)])
+def test_dilution_crossings_are_unique(monkeypatch, d, n, N_max):
+    # every case-2 step meets the previous energy at t* and exceeds it just
+    # beyond, in at most 10 solves
+    per_step = []
+    solves = []
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return lowest_level(*args, **kwargs)
+
+    def stepping(*args, **kwargs):
+        solves.clear()
+        step = dilute(*args, **kwargs)
+        per_step.append(len(solves))
+        return step
+    lowest_level, dilute = heis.foel._lowest_level, heis.foel.dilute_extend
+    monkeypatch.setattr(heis.foel, "_lowest_level", counting)
+    monkeypatch.setattr(heis.foel, "dilute_extend", stepping)
+    rep = induction_run(d, n, N_max)
+    seq = rep.diluted
+    assert not rep.partial and not rep.dilution_problems
+    case2 = [k for k, t in enumerate(seq.t_values) if t < 1.0]
+    assert case2
+    for k in case2:
+        prev_energy = seq.energies[k - 1]
+        assert seq.energies[k] == pytest.approx(prev_energy, abs=heis.foel.ENERGY_TOL)
+        assert per_step[k - 1] <= 10
+        s = seq.t_values[k] + 1e-6
+        data = heis.foel._match_couplings(seq.graphs[k - 1], seq.couplings[k - 1],
+                                          seq.graphs[k])
+        J = {e: (1 - s) * start + s * target for e, start, target in data}
+        assert energy_level(seq.graphs[k].with_couplings(J), n) > prev_energy
 
 
 def test_dilute_extend_rejects_infinite_start():
     with pytest.raises(ValueError):
         dilute_extend((make_box(1, 2), None, math.inf), make_path(3), 2)
+    # level 2 is empty on two vertices, whatever energy is passed
+    with pytest.raises(ValueError):
+        dilute_extend((make_box(1, 2), None, 0.5), make_path(3), 2)
     # a failed grid solve leaves NaN, which must not pass for an energy
     with pytest.raises(ValueError):
         dilute_extend((make_box(1, 2), None, math.nan), make_path(3), 1)
+
+
+def test_diluted_sequence_checks_new_lows():
+    # only a new-low stage must be fully coupled
+    seq = DilutedSequence(graphs=[make_path(2), make_path(3)],
+                          couplings=[{(0, 1): 1.0}, {(0, 1): 1.0, (1, 2): 0.5}],
+                          t_values=[1.0, 0.5], energies=[1.0, 1.0], new_lows=[2])
+    assert seq.check_invariants() == []
+    seq.new_lows = [2, 3]
+    assert seq.check_invariants() == ["new-low stage 1: J(1, 2) = 0.5 != 1"]
 
 
 def test_dilute_extend_requires_extension():
