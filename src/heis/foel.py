@@ -60,7 +60,7 @@ class DilutedSequence:
     couplings: list             # list of per-graph edge -> J dicts
     t_values: list
     energies: list
-    new_lows: list = field(default_factory=list)    # vertex counts N of new-low stages
+    new_lows: list              # vertex counts N of new-low stages
 
     def check_invariants(self, tol=1e-8):
         """Verify the defining properties of a diluted system.
@@ -200,9 +200,9 @@ def dilute_extend(prev, next_graph, n, tol=ENERGY_TOL, method="auto", seed=0):
     vertex and possibly new edges.  Couplings are interpolated as
     J(t) = (1-t) J_prev + t J_target, and none may shrink: a target below
     its start by more than ``tol`` raises ``ValueError`` before any solve.
-    If the fully-coupled energy does not exceed the previous one the step
-    closes at t=1 (case 1); otherwise at the t* where the level-n energy
-    E(t) meets the previous energy (case 2).
+    If the fully-coupled energy (:func:`energy_level`) does not exceed the
+    previous one the step closes at t=1 (case 1); otherwise at the t* where
+    the level-n energy E(t) meets the previous energy (case 2).
 
     H is linear in the couplings, so H(J(t)) = H_0 + t D with
     H_0 = H(J_prev) and D = H(J_target - J_prev), a sum of bond terms with
@@ -217,13 +217,15 @@ def dilute_extend(prev, next_graph, n, tol=ENERGY_TOL, method="auto", seed=0):
     supergradient).  Each Newton step moves to the s where l_t(s) meets the
     previous energy, clamped at 0; then E(s) <= l_t(s), so s <= t*, and
     from t = 1 the iterates rise monotonically to t*.  They stop when a
-    step is at most 1e-13.  Each t is solved once.
+    step forward is at most 1e-13, or at a step back, which only solver
+    noise in E near t* can cause.  Case 2 solves t = 1 once more for psi_1;
+    every other t is solved once.
 
     Raises :class:`NumericalError` when E(0) already exceeds the previous
     energy (no crossing), when a slope below t = 1 is not positive or an
-    iterate falls (both contradict concavity), after ``_MAX_SOLVES``
-    solves, or when the final energy misses the previous one by more than
-    ``tol``.
+    iterate's energy exceeds the previous one by more than ``tol`` (both
+    contradict the bound), after ``_MAX_SOLVES`` solves, or when the final
+    energy misses the previous one by more than ``tol``.
     """
     prev_graph, prev_J, prev_energy = prev
     if not math.isfinite(prev_energy) or 2 * n > prev_graph.vertex_count:
@@ -235,19 +237,24 @@ def dilute_extend(prev, next_graph, n, tol=ENERGY_TOL, method="auto", seed=0):
     if shrunk:
         raise ValueError(f"couplings shrink along the chain (edge, J_prev, J_target): {shrunk}")
 
-    @functools.cache
-    def energy_at(t):
+    def couple(t):
         J = {e: (1.0 - t) * start + t * target for e, start, target in data}
-        g = next_graph.with_couplings(J)
-        return *_lowest_level(g, n, method=method, tol=1e-10, seed=seed, vector=True), J
+        return next_graph.with_couplings(J), J
 
-    e, psi, J = energy_at(1.0)
+    g, J = couple(1.0)
+    e = energy_level(g, n, method=method, seed=seed)
     if e <= prev_energy + tol:
         return DiluteStep(t_star=1.0, couplings=J, energy=e, case=1)
+
+    @functools.cache
+    def energy_at(t):
+        g, J = couple(t)
+        return *_lowest_level(g, n, method=method, tol=1e-10, seed=seed, vector=True), J
 
     increments = {edge: target - start for edge, start, target in data}
     D = hamiltonian_magnon(next_graph.with_couplings(increments), n).to_csr()
     t = 1.0
+    e, psi, J = energy_at(t)
     while True:
         slope = float(psi @ (D @ psi))
         diagnostics = {"t": t, "energy": e, "slope": slope, "prev_energy": prev_energy}
@@ -258,10 +265,8 @@ def dilute_extend(prev, next_graph, n, tol=ENERGY_TOL, method="auto", seed=0):
         else:
             raise NumericalError("energy slope is not positive below t=1",
                                  diagnostics=diagnostics)
-        if t < 1.0 and s < t - _STEP_TOL:
-            raise NumericalError("dilution iterate fell",
-                                 diagnostics={**diagnostics, "next_t": s})
-        if abs(s - t) <= _STEP_TOL:
+        # below t=1, E <= E_prev + tol: a step back is solver noise at t*
+        if t < 1.0 and s <= t + _STEP_TOL:
             break
         if energy_at.cache_info().currsize >= _MAX_SOLVES:
             raise NumericalError(f"no crossing within {_MAX_SOLVES} solves",
@@ -273,6 +278,9 @@ def dilute_extend(prev, next_graph, n, tol=ENERGY_TOL, method="auto", seed=0):
                 "no bracket: energy at t=0 already exceeds the previous level",
                 diagnostics={"energy_at_0": e, "prev_energy": prev_energy},
             )
+        if e > prev_energy + tol:
+            raise NumericalError("dilution iterate rose above the previous energy",
+                                 diagnostics={**diagnostics, "next_t": t, "next_energy": e})
     if abs(e - prev_energy) > tol:
         raise NumericalError(
             "dilution failed to match the previous energy",

@@ -236,19 +236,64 @@ def test_dilute_extend_case2_triangle():
 
 
 def test_dilute_extend_solves_t0_once(monkeypatch):
-    # every t is solved once, and the Newton steps close the triangle in a
-    # handful of solves
+    # t = 1 is solved by energy_level and again for its vector once case 2
+    # is known; every other t is solved once, and the Newton steps close the
+    # triangle in a handful of solves
     solved = []
 
-    def counting(g, n, *args, **kwargs):
-        solved.append(g.couplings)
-        return lowest_level(g, n, *args, **kwargs)
+    def counting(g, n, *args, vector, **kwargs):
+        solved.append((g.couplings, vector))
+        return lowest_level(g, n, *args, vector=vector, **kwargs)
     lowest_level = heis.foel._lowest_level
     monkeypatch.setattr(heis.foel, "_lowest_level", counting)
     prev = Graph((0, 1), ((0, 1),), (1.0,))
     step = dilute_extend((prev, {(0, 1): 1.0}, 1.0), make_ring(3), 1, tol=1e-10)
     assert step.case == 2
+    assert solved[0] == ((1.0, 1.0, 1.0), False)
+    assert all(vector for _, vector in solved[1:])
     assert len(set(solved)) == len(solved) <= 6
+
+
+def test_dilute_extend_case1_computes_no_vector(monkeypatch):
+    vectors = []
+
+    def recording(*args, vector, **kwargs):
+        vectors.append(vector)
+        return lowest_level(*args, vector=vector, **kwargs)
+    lowest_level = heis.foel._lowest_level
+    monkeypatch.setattr(heis.foel, "_lowest_level", recording)
+    prev = make_box(1, 2)
+    assert dilute_extend((prev, None, 1.0), make_path(3), 1).case == 1
+    assert vectors == [False]
+
+
+def test_dilute_extend_tolerates_solver_noise_at_crossing(monkeypatch):
+    # an energy solved slightly above the previous one near t* (here by
+    # 1e-12, far inside tol; a small slope makes roundoff act the same way)
+    # sends the Newton step back: that is convergence, not an error
+    def noisy(*args, **kwargs):
+        e, psi = lowest_level(*args, **kwargs)
+        return (e + 1e-12 if abs(e - 1.0) < 1e-6 else e), psi
+    lowest_level = heis.foel._lowest_level
+    monkeypatch.setattr(heis.foel, "_lowest_level", noisy)
+    prev = Graph((0, 1), ((0, 1),), (1.0,))
+    step = dilute_extend((prev, {(0, 1): 1.0}, 1.0), make_ring(3), 1, tol=1e-10)
+    assert step.case == 2
+    assert step.t_star == pytest.approx(2 / 3, abs=1e-11)
+    assert step.energy == pytest.approx(1.0, abs=1e-10)
+
+
+def test_dilute_extend_rejects_iterate_above_previous_energy(monkeypatch):
+    # the supergradient bound keeps every iterate below t = 1 at or under
+    # the previous energy; a solve that breaks it by more than tol raises
+    def broken(*args, **kwargs):
+        e, psi = lowest_level(*args, **kwargs)
+        return (e + 1e-6 if abs(e - 1.0) < 1e-3 else e), psi
+    lowest_level = heis.foel._lowest_level
+    monkeypatch.setattr(heis.foel, "_lowest_level", broken)
+    prev = Graph((0, 1), ((0, 1),), (1.0,))
+    with pytest.raises(NumericalError, match="rose above"):
+        dilute_extend((prev, {(0, 1): 1.0}, 1.0), make_ring(3), 1, tol=1e-10)
 
 
 def test_dilute_extend_solve_budget(monkeypatch):
@@ -269,10 +314,12 @@ def test_dilute_extend_rejects_shrinking_coupling(monkeypatch):
         dilute_extend((prev, {e: 2.0 for e in prev.edges}, 1.0), make_path(3), 1)
 
 
-def test_dilute_extend_no_bracket():
-    # E(0) = 0 (edge (1, 2) off leaves a zero mode) is already above -0.5
+@pytest.mark.parametrize("n", [0, 1])
+def test_dilute_extend_no_bracket(n):
+    # E(0) = 0 (edge (1, 2) off leaves a zero mode; level 0 is 0 at every
+    # coupling) is already above -0.5
     with pytest.raises(NumericalError, match="no bracket"):
-        dilute_extend((make_box(1, 2), None, -0.5), make_path(3), 1)
+        dilute_extend((make_box(1, 2), None, -0.5), make_path(3), n)
 
 
 @pytest.mark.parametrize("d, n, N_max", [(2, 4, 14), (2, 1, 12), (3, 1, 10)])
