@@ -16,6 +16,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -23,8 +24,7 @@ import numpy as np
 from . import __version__
 from .errors import ConvergenceError, HeisError, NumericalError, ParseError
 from .graph import load_graph, make_box, make_lambda, make_path, make_ring
-from .sector import hamiltonian_magnon
-from .eigen import full_spectrum, label_spins
+from .eigen import labeled_spectra
 from .foel import energy_level, foel_check, induction_run
 from .spinwave import (
     bose_energy,
@@ -121,17 +121,15 @@ def cmd_spectrum(args):
         raise ParseError("spectrum needs --sector or --all-sectors")
     rows = []
     results = {}
+    spectra = labeled_spectra(g, sectors)
     for n in sectors:
-        H = hamiltonian_magnon(g, n)
-        eig = full_spectrum(H)
-        labeled = label_spins(g, n, eig)
         entries = [
             {"energy": e.energy * scale, "n_prime": e.n_prime,
              "multiplicity": e.multiplicity}
-            for e in labeled.entries
+            for e in spectra[n].entries
         ]
         results[str(n)] = {
-            "dimension": H.dim,
+            "dimension": math.comb(g.vertex_count, n),
             "levels": entries,
             "E_n": energy_level(g, n, method=args.method, seed=args.seed) * scale,
         }
@@ -157,6 +155,7 @@ def cmd_foel(args):
         "violations": [{"n_prime": m, "energy": e} for m, e in verdict.violations],
         "energies": {str(k): v for k, v in sorted(verdict.energies.items())},
         "incomplete": verdict.incomplete,
+        "failures": verdict.failures or None,
     }
     result = {k: v for k, v in result.items() if v is not None}
     report = {"meta": _meta(args), "graph": _graph_info(g), "results": result}

@@ -10,8 +10,14 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
-from .errors import ConvergenceError, LabelingError, SizeBudgetError
-from .sector import SparseSymOp, casimir_magnon
+from .errors import ConvergenceError, LabelingError, NumericalError, SizeBudgetError
+from .sector import (
+    SparseSymOp,
+    casimir_magnon,
+    check_sector_budget,
+    hamiltonian_magnon,
+    valence_bond_basis,
+)
 
 #: Largest dimension handed to a dense eigensolver.
 DENSE_BUDGET = 4096
@@ -22,6 +28,13 @@ DENSE_CUTOFF = 240
 
 #: Eigenvalues closer than this are treated as degenerate.
 DEGENERACY_TOL = 1e-8
+
+#: Largest relative residual ||Hy - Ey|| / ||y|| accepted for a
+#: highest-weight level.
+RESIDUAL_TOL = 1e-8
+
+#: Entries of one column block of the sector vectors y = Bx.
+_BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass
@@ -217,7 +230,6 @@ def label_spins(g, n, eig, tol=1e-8):
     vectors = eig.vectors.copy()
     CV = casimir_magnon(g, n).to_csr() @ vectors
     labels = np.empty(len(values), dtype=int)
-    entries = []
     for i, j in degenerate_runs(values):
         W = vectors[:, i:j]
         cvals, cvecs = np.linalg.eigh(W.T @ CV[:, i:j])
@@ -225,10 +237,82 @@ def label_spins(g, n, eig, tol=1e-8):
         order = np.argsort(group, kind="stable")
         vectors[:, i:j] = (W @ cvecs)[:, order]
         labels[i:j] = group[order]
+    return SpinLabeledSpectrum(entries=_spin_entries(values, labels), vectors=vectors,
+                               labels=labels)
+
+
+def _spin_entries(values, labels):
+    """One :class:`SpinLabel` per label of each :func:`degenerate_runs` run
+    of the ascending ``values``: the run's mean energy, labels ascending,
+    multiplicity the label's count in the run."""
+    entries = []
+    for i, j in degenerate_runs(values):
         energy = float(np.mean(values[i:j]))
-        for lab in labels[i:j]:
-            if entries and entries[-1].energy == energy and entries[-1].n_prime == lab:
-                entries[-1].multiplicity += 1
-            else:
-                entries.append(SpinLabel(energy=energy, n_prime=int(lab), multiplicity=1))
-    return SpinLabeledSpectrum(entries=entries, vectors=vectors, labels=labels)
+        for lab, count in zip(*np.unique(labels[i:j], return_counts=True)):
+            entries.append(SpinLabel(energy=energy, n_prime=int(lab),
+                                     multiplicity=int(count)))
+    return entries
+
+
+def highest_weight_levels(g, n):
+    """Ascending energies of the highest-weight states of spin deviate n.
+
+    Solves B^T H B x = lambda B^T B x densely in the valence-bond basis B
+    (:func:`heis.sector.valence_bond_basis`).  B^T B is ill-conditioned
+    (condition number 6.6e5 on ring12 at n = 6), so each level is reported
+    as the Rayleigh quotient of y = Bx on the sector Hamiltonian, built in
+    column blocks of y.  Raises :class:`NumericalError` when a relative
+    residual ||Hy - Ey|| / ||y|| exceeds ``RESIDUAL_TOL``.  The budgets are
+    the caller's to check (see :func:`labeled_spectra`).
+    """
+    H = hamiltonian_magnon(g, n).to_csr()
+    B = valence_bond_basis(g.vertex_count, n)
+    HB = (H @ B).tocsc()                # B.T is CSC: B.T @ HB stays in one format
+    _, X = scipy.linalg.eigh((B.T @ HB).toarray(), (B.T @ B).toarray())
+    energies = np.empty(X.shape[1])
+    width = max(1, _BLOCK_ENTRIES // H.shape[0])
+    for i in range(0, X.shape[1], width):
+        Y, HY = B @ X[:, i:i + width], HB @ X[:, i:i + width]
+        norms = np.linalg.norm(Y, axis=0)
+        e = np.einsum("ij,ij->j", Y, HY) / norms ** 2
+        res = np.linalg.norm(HY - Y * e, axis=0) / norms
+        if res.max() > RESIDUAL_TOL:
+            raise NumericalError(
+                f"highest-weight level at n={n} has residual {res.max():.3e} "
+                f"above {RESIDUAL_TOL:g}", diagnostics={"n": n, "residual": float(res.max())})
+        energies[i:i + width] = e
+    return np.sort(energies)
+
+
+def labeled_spectra(g, sectors):
+    """Spin-labeled spectrum of every sector n in ``sectors``, keyed by n.
+
+    Sector n holds one copy of each highest-weight state of spin deviate
+    n' <= min(n, V - n) (its S^- descendant), so its spectrum is the union of
+    those :func:`highest_weight_levels`, each level labeled n' by
+    construction, grouped as in :func:`label_spins`.  Each highest-weight
+    spectrum is solved once for all sectors.  Every budget of every n' is
+    checked before the first solve: ``SECTOR_BUDGET`` on C(V, n') and
+    ``DENSE_BUDGET`` on the highest-weight dimension C(V, n') - C(V, n'-1).
+    The entries carry no vectors.
+    """
+    V = g.vertex_count
+    for n in sectors:
+        if not 0 <= n <= V:
+            raise ValueError(f"magnon number {n} out of range")
+    top = max((min(n, V - n) for n in sectors), default=-1)
+    for m in range(top + 1):
+        check_sector_budget(V, m)
+        dim = math.comb(V, m) - (math.comb(V, m - 1) if m else 0)
+        if dim > DENSE_BUDGET:
+            raise SizeBudgetError(
+                f"highest-weight dim {dim} at n'={m} exceeds dense budget {DENSE_BUDGET}")
+    levels = [highest_weight_levels(g, m) for m in range(top + 1)]
+    spectra = {}
+    for n in sectors:
+        parts = levels[:min(n, V - n) + 1]
+        values = np.concatenate(parts)
+        labels = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
+        order = np.argsort(values, kind="stable")
+        spectra[n] = SpinLabeledSpectrum(entries=_spin_entries(values[order], labels[order]))
+    return spectra

@@ -44,6 +44,7 @@ class FoelVerdict:
     tol: float
     energies: dict
     incomplete: bool = False
+    failures: list = field(default_factory=list)    # {"n_prime", "error"} per failed level
 
 
 @dataclass
@@ -147,18 +148,19 @@ def foel_check(g, n, strict=False, tol=ENERGY_TOL, method="auto", seed=0):
 
     In strict mode every level n' > n must exceed the level-n energy by more
     than ``tol``.  Solver failures mark the verdict incomplete instead of
-    deciding it.  ``seed`` seeds the ARPACK start vectors.
+    deciding it, and each keeps its level and exception in ``failures``.
+    ``seed`` seeds the ARPACK start vectors.
     """
     V = g.vertex_count
     if n > V // 2:
         raise ValueError(f"n={n} exceeds half the vertex count")
     energies = {}
-    incomplete = False
+    failures = []
     for m in range(n, V // 2 + 1):
         try:
             energies[m] = energy_level(g, m, method=method, seed=seed)
-        except HeisError:
-            incomplete = True
+        except HeisError as exc:
+            failures.append({"n_prime": m, "error": f"{type(exc).__name__}: {exc}"})
             energies[m] = math.nan
     base = energies[n]
     violations = []
@@ -172,7 +174,7 @@ def foel_check(g, n, strict=False, tol=ENERGY_TOL, method="auto", seed=0):
             violations.append((m, e))
     return FoelVerdict(n=n, holds=not violations, strict=strict,
                        violations=violations, tol=tol, energies=energies,
-                       incomplete=incomplete)
+                       incomplete=bool(failures), failures=failures)
 
 
 def _match_couplings(prev_graph, prev_J, next_graph):

@@ -378,6 +378,53 @@ def highest_weight_basis(g, n):
     return q[:, rank:]
 
 
+def valence_bond_basis(vertex_count, n):
+    """Valence-bond (Rumer) basis of the highest-weight subspace of mag(n).
+
+    The columns are indexed by the ballot subsets, in rank order: down
+    positions c_0 < ... < c_{n-1} with c_k >= 2k + 1.  Scanning the vertices
+    in order, each down c_k is paired with the nearest open up a_k before
+    it (a stack scan), so the pairs never cross.  The column is the product
+    of the singlets (|up_a down_c> - |down_a up_c>) / sqrt(2) with every
+    other spin up: 2^n entries +-2^(-n/2), the sign (-1)^j when j singlets
+    put their flip on a.  Every column is annihilated by S^+, and the
+    C(V,n) - C(V,n-1) columns are independent but not orthogonal.
+
+    Returned as a (C(V,n), C(V,n) - C(V,n-1)) CSR matrix.  It depends on the
+    vertex count only.  Raises :class:`SizeBudgetError` above
+    ``SECTOR_BUDGET``.
+    """
+    V = vertex_count
+    if not 0 <= n <= V // 2:
+        raise ValueError(f"no highest-weight vectors at n={n} for {V} vertices")
+    basis = MagnonBasis(V, n)
+    sub = basis.array()
+    down = sub[(sub >= 2 * np.arange(n) + 1).all(axis=1)]
+    m = len(down)
+    member = _membership(down, V)
+    stack = np.empty((m, V), dtype=np.int64)
+    depth = np.zeros(m, dtype=np.int64)
+    seen = np.zeros(m, dtype=np.int64)          # downs passed so far, per column
+    up = np.empty((m, n), dtype=np.int64)       # up[:, k] is paired with down[:, k]
+    cols = np.arange(m)
+    for x in range(V):
+        d, u = cols[member[x]], cols[~member[x]]
+        depth[d] -= 1
+        up[d, seen[d]] = stack[d, depth[d]]
+        seen[d] += 1
+        stack[u, depth[u]] = x
+        depth[u] += 1
+    # bit k of s set: singlet k puts its flip on the up partner a_k
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    flipped = np.where(bits.astype(bool), up[:, None, :], down[:, None, :])
+    flipped = flipped.reshape(m << n, n)
+    flipped.sort(axis=1)
+    signs = np.where(bits.sum(axis=1) % 2, -1.0, 1.0) * 2.0 ** (-0.5 * n)
+    return sp.csr_matrix(
+        (np.tile(signs, m), (basis.rank_array(flipped), np.repeat(cols, 1 << n))),
+        shape=(basis.dim, m))
+
+
 def highest_weight_projector(g, n):
     """Exact orthogonal projector onto the highest-weight subspace of mag(n).
 

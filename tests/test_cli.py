@@ -122,12 +122,32 @@ def test_spectrum_oversized_sector_fails_fast(capsys):
     assert "budget" in err
 
 
+def test_spectrum_reaches_past_dense_budget(capsys, monkeypatch):
+    # ring10 sector 5 has dim 252 and highest-weight dims 1, 9, 35, 75, 90, 42
+    _, want, _ = run(capsys, "spectrum", "--graph", "ring:L=10", "--sector", "5")
+    monkeypatch.setattr(heis.eigen, "DENSE_BUDGET", 100)
+    code, got, _ = run(capsys, "spectrum", "--graph", "ring:L=10", "--sector", "5")
+    assert code == 0
+    assert got == want
+    # ring12 sector 4 needs the highest-weight dim C(12,4) - C(12,3) = 275
+    code, _, err = run(capsys, "spectrum", "--graph", "ring:L=12", "--sector", "4")
+    assert code == 2
+    assert "budget" in err
+
+
+def test_spectrum_sector_out_of_range(capsys):
+    code, _, err = run(capsys, "spectrum", "--graph", "path:L=4", "--sector", "5")
+    assert code == 2
+    assert "out of range" in err
+
+
 def test_foel_path_holds(capsys):
     code, out, _ = run(capsys, "foel", "--graph", "box:d=1,L=8", "--n", "2",
                        "--strict")
     assert code == 0
     rep = json.loads(out)
     assert rep["results"]["holds"] is True
+    assert "failures" not in rep["results"]
     assert rep["results"]["violations"] == []
 
 

@@ -3,24 +3,29 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
-from heis.errors import LabelingError, SizeBudgetError
-from heis.graph import make_box, make_lambda, make_path, make_ring
+import heis.eigen
+from heis.errors import LabelingError, NumericalError, SizeBudgetError
+from heis.graph import Graph, make_box, make_lambda, make_path, make_ring
 from heis.sector import (
     SparseSymOp,
     assemble_full,
     hamiltonian_magnon,
     lowering_matrix,
+    valence_bond_basis,
 )
 from heis.eigen import (
     DENSE_BUDGET,
     EigResult,
     full_spectrum,
     label_spins,
+    labeled_spectra,
     lowest_eig,
     min_eig,
     spectral_count,
 )
+from conftest import product_casimir, product_hamiltonian, project_sector
 
 
 def test_full_spectrum_grid():
@@ -263,3 +268,73 @@ def test_lowest_n_labeled_energy_is_energy_level():
     assert lowest == pytest.approx(energy_level(g, n), abs=1e-10)
     # the figure lists 0.7350 at doubled scale
     assert 2 * lowest == pytest.approx(0.7350, abs=1e-3)
+
+
+# ---------------------------------------------------------------- labeled spectra
+
+def _weighted_graph():
+    edges = ((0, 1), (0, 4), (1, 2), (1, 4), (2, 3), (3, 4), (4, 5))
+    return Graph(tuple(range(6)), edges, (1.0, 0.35, 2.2, 0.8, 1.3, 0.6, 1.9))
+
+
+def _label_energies(entries, n_prime):
+    return [e.energy for e in entries if e.n_prime == n_prime for _ in range(e.multiplicity)]
+
+
+@pytest.mark.parametrize("g", [make_ring(8), make_ring(12), make_path(10), make_box(2, 3),
+                               make_lambda(2, 11), _weighted_graph()])
+def test_labeled_spectra_match_label_spins(g):
+    V = g.vertex_count
+    spectra = labeled_spectra(g, range(V + 1))
+    for n in range(V + 1):
+        want = label_spins(g, n, full_spectrum(hamiltonian_magnon(g, n))).entries
+        got = spectra[n].entries
+        assert [(e.n_prime, e.multiplicity) for e in got] == \
+            [(e.n_prime, e.multiplicity) for e in want]
+        assert np.allclose([e.energy for e in got], [e.energy for e in want],
+                           rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("g", [make_ring(7), make_path(8), make_lambda(2, 7), _weighted_graph()])
+def test_labeled_spectra_match_product_space_oracle(g):
+    # the spin-deviate-m highest-weight spectrum is H on the Casimir
+    # eigenspace s(s+1), s = V/2 - m, of the mag(m) block of the 2^V space
+    V = g.vertex_count
+    H, C = product_hamiltonian(g), product_casimir(V)
+    oracle = []
+    for m in range(V // 2 + 1):
+        s = 0.5 * V - m
+        cvals, cvecs = np.linalg.eigh(project_sector(C, V, m))
+        Q = cvecs[:, np.abs(cvals - s * (s + 1)) < 1e-8]
+        oracle.append(np.linalg.eigvalsh(Q.T @ project_sector(H, V, m) @ Q))
+    spectra = labeled_spectra(g, range(V + 1))
+    for n in range(V + 1):
+        entries = spectra[n].entries
+        assert {e.n_prime for e in entries} == set(range(min(n, V - n) + 1))
+        for m in range(min(n, V - n) + 1):
+            assert np.allclose(_label_energies(entries, m), oracle[m], rtol=0, atol=1e-10)
+
+
+def test_labeled_spectra_rejects_large_residuals(monkeypatch):
+    # a basis that is not H-invariant gives Ritz vectors that are no eigenvectors
+    def skewed(V, n):
+        B = valence_bond_basis(V, n)
+        return B + 0.1 * scipy.sparse.eye(*B.shape)
+    monkeypatch.setattr(heis.eigen, "valence_bond_basis", skewed)
+    with pytest.raises(NumericalError):
+        labeled_spectra(make_path(6), [3])
+
+
+def test_labeled_spectra_check_budgets_before_solving(monkeypatch):
+    solved = []
+    monkeypatch.setattr(heis.eigen, "highest_weight_levels",
+                        lambda g, n: solved.append(n))
+    # highest-weight dims at n' = 0..3 of 40 vertices: 1, 39, 740, 9100
+    with pytest.raises(SizeBudgetError, match="highest-weight dim 9100"):
+        labeled_spectra(make_path(40), [0, 37])
+    monkeypatch.setattr(heis.eigen, "DENSE_BUDGET", 1 << 40)
+    with pytest.raises(SizeBudgetError, match="sector budget"):
+        labeled_spectra(make_path(40), [20])
+    with pytest.raises(ValueError):
+        labeled_spectra(make_path(4), [5])
+    assert solved == []

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 import heis.eigen
 import heis.foel
+from heis.cli import main
 from heis.errors import ConvergenceError, NumericalError, SizeBudgetError
 from heis.graph import Graph, make_box, make_lambda, make_path, make_ring
 from heis.sector import hamiltonian_magnon
@@ -72,7 +74,7 @@ def test_energy_level_size_budgets():
     ArpackNoConvergence("no convergence", np.array([0.5]), np.ones((28, 1))),
     ArpackError(-9),
 ])
-def test_energy_level_wraps_arpack_failures(monkeypatch, exc):
+def test_energy_level_wraps_arpack_failures(monkeypatch, capsys, exc):
     def fail(*args, **kwargs):
         raise exc
     monkeypatch.setattr(heis.eigen, "eigsh", fail)
@@ -81,6 +83,13 @@ def test_energy_level_wraps_arpack_failures(monkeypatch, exc):
     v = foel_check(make_path(8), 1, method="krylov")
     assert v.incomplete
     assert math.isnan(v.energies[2])
+    # every level but the dim-1 n = 0 one runs ARPACK, and each keeps its reason
+    assert [f["n_prime"] for f in v.failures] == [1, 2, 3, 4]
+    assert all(f["error"].startswith("ConvergenceError: ARPACK") for f in v.failures)
+    assert main(["foel", "--graph", "path:L=8", "--n", "1", "--method", "krylov"]) == 3
+    assert json.loads(capsys.readouterr().out)["results"]["failures"] == v.failures
+    complete = foel_check(make_path(8), 1)
+    assert complete.failures == [] and not complete.incomplete
     # the chain step to N = 11 solves a dim-330 sector by ARPACK: the failure
     # is recorded, not raised
     rep = induction_run(1, 4, 11)

@@ -23,6 +23,7 @@ from heis.sector import (
     load_op,
     lower_function,
     lowering_matrix,
+    valence_bond_basis,
 )
 from conftest import (
     product_casimir,
@@ -324,6 +325,30 @@ def test_highest_weight_projector_exact():
         # the same projector as the one built from the QR basis
         basis = highest_weight_basis(g, n)
         assert np.max(np.abs(P - basis @ basis.T)) <= 1e-12
+
+
+@pytest.mark.parametrize("V", range(1, 11))
+def test_valence_bond_basis_spans_highest_weight_space(V):
+    for n in range(V // 2 + 1):
+        B = valence_bond_basis(V, n)
+        dim = math.comb(V, n) - (math.comb(V, n - 1) if n else 0)
+        assert B.shape == (math.comb(V, n), dim)
+        assert np.allclose(B.multiply(B).sum(axis=0), 1.0, rtol=0, atol=1e-14)
+        assert np.linalg.matrix_rank(B.toarray()) == dim
+        if n:
+            raised = lowering_matrix(make_path(V), n).to_csr().T @ B
+            assert np.abs(raised.toarray()).max() <= 1e-14
+    assert valence_bond_basis(V, 0).toarray().tolist() == [[1.0]]
+
+
+def test_valence_bond_basis_pairs_by_ballot_scan():
+    # V = 4, n = 2: the ballot down sets {1,3} and {2,3} pair as (0,1)(2,3)
+    # and (1,2)(0,3); rows are the colex-ordered 01 02 12 03 13 23
+    B = valence_bond_basis(4, 2).toarray()
+    assert np.array_equal(2 * B[:, 0], [0, 1, -1, -1, 1, 0])
+    assert np.array_equal(2 * B[:, 1], [1, -1, 0, 0, -1, 1])
+    with pytest.raises(ValueError):
+        valence_bond_basis(4, 3)
 
 
 def test_multiplet_dimension_identity():
