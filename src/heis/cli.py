@@ -97,9 +97,20 @@ def _graph_info(g):
             **({"dim": g.dim} if g.dim is not None else {})}
 
 
+def _nan_to_null(value):
+    """``value`` with every NaN (a failed solve) replaced by ``None``."""
+    if isinstance(value, dict):
+        return {k: _nan_to_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_nan_to_null(v) for v in value]
+    return None if isinstance(value, float) and math.isnan(value) else value
+
+
 def _emit(args, report, csv_rows=None, csv_header=None):
     if args.format == "json":
-        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=True) + "\n"
+        # E_n = +inf above V/2 is still written as Infinity
+        text = json.dumps(_nan_to_null(report), sort_keys=True, indent=2,
+                          allow_nan=True) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

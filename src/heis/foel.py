@@ -100,8 +100,9 @@ def energy_level(g, n, method="auto", tol=1e-10, seed=0):
     """Minimum energy among states of spin deviate exactly n.
 
     Returns +inf for n beyond V/2 (the subspace is empty).  H commutes with
-    the exact highest-weight projector P (:func:`highest_weight_projector`),
-    so the result is the lowest eigenvalue of H + c(I - P) with
+    the exact highest-weight projector P (:func:`highest_weight_projector`,
+    applied by one sweep down through the sectors below n and back up), so
+    the result is the lowest eigenvalue of H + c(I - P) with
     c = ||H||_inf + 1, which lifts every lowered state above the spectrum of
     H.  :func:`heis.eigen.lowest_eig` solves it: densely up to
     ``DENSE_CUTOFF``, else by ARPACK to relative residual ``tol`` from P

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.linalg
 
 from .errors import ParseError, SizeBudgetError
 
@@ -25,8 +24,6 @@ FUNCTION_SPACE_BUDGET = 1 << 21
 
 #: Cap on the sector dimension C(V, n) of every array built over a magnon sector.
 SECTOR_BUDGET = 1 << 18
-
-_QR_RANK_TOL = 1e-12
 
 
 class MagnonBasis:
@@ -362,20 +359,15 @@ def highest_weight_basis(g, n):
     """Orthonormal basis of the highest-weight subspace of mag(n).
 
     This is the orthogonal complement of range(S^-) inside the sector; its
-    dimension is C(V,n) - C(V,n-1).  For n beyond V/2 the subspace is empty
+    dimension is C(V,n) - C(V,n-1).  The basis is the thin QR factor of
+    :func:`valence_bond_basis`.  For n beyond V/2 the subspace is empty
     and an empty basis is returned with a warning.
     """
     V = g.vertex_count
-    if n == 0:
-        return np.ones((1, 1))
     if n > V // 2:
         warnings.warn(f"no highest-weight vectors at n={n} for {V} vertices")
         return np.zeros((math.comb(V, n), 0))
-    L = lowering_matrix(g, n).to_dense()
-    q, r, _ = scipy.linalg.qr(L, mode="full", pivoting=True)
-    d = np.abs(np.diag(r))
-    rank = int(np.sum(d > _QR_RANK_TOL * max(d[0], 1.0)))
-    return q[:, rank:]
+    return np.linalg.qr(valence_bond_basis(V, n).toarray())[0]
 
 
 def valence_bond_basis(vertex_count, n):
@@ -429,24 +421,42 @@ def highest_weight_projector(g, n):
     """Exact orthogonal projector onto the highest-weight subspace of mag(n).
 
     Returned as a function applying P to a vector or to the columns of a
-    matrix.  On mag(n), A = S^- S^+ acts on spin s = M + j (M = V/2 - n) as
-    lambda_j = (M+j)(M+j+1) - M(M+1), with lambda_0 = 0 on the highest-weight
-    space, so P = prod_{j=1..n} (I - A/lambda_j): 2n sparse products and no
-    factorization.  The factors run from the largest lambda_j down, so every
-    factor shrinks the components that survive it and rounding never grows.
+    matrix.  On mag(k), A_k = S^- S^+ acts on the spin V/2 - k + i component
+    as lambda_i = i (V - 2k + i + 1), with lambda_0 = 0 on the highest-weight
+    space; so P = f_n(A_n), where f_n is 1 on component 0 and 0 on the
+    others.  Any f_k(A_k) equals f_k(0) I + S^- f_{k-1}(A_{k-1}) S^+, where
+    f_{k-1} on component i - 1 of mag(k-1), which S^- maps onto component i,
+    is the divided difference (f_k(lambda_i) - f_k(0)) / lambda_i.  Unrolled
+    down to mag(0) with scalars c_k = f_k(0), P x is one sweep: y_n = x,
+    y_{k-1} = S^+ y_k down to level 0, then w_0 = c_0 y_0 and
+    w_k = c_k y_k + S^- w_{k-1} back up to P x = w_n.  That is 2n sparse
+    products, with k C(V, k) entries each at k = 1..n, and no factorization.
     """
     V = g.vertex_count
     if not 1 <= n <= V // 2:
         raise ValueError(f"no lowered states to project out at n={n} for {V} vertices")
-    low = lowering_matrix(g, n).to_csr()
-    up = low.T.tocsr()
-    M = 0.5 * V - n
-    lams = [(M + j) * (M + j + 1) - M * (M + 1) for j in range(n, 0, -1)]
+    # built largest first: each build's temporaries then sit beside the
+    # smaller matrices only
+    lows = [lowering_matrix(g, k).to_csr() for k in range(n, 0, -1)][::-1]
+    f = np.r_[1.0, np.zeros(n)]                # f_n: 1 on the highest-weight space
+    coef = []
+    for k in range(n, 0, -1):
+        coef.append(f[0])
+        i = np.arange(1, k + 1)
+        f = (f[1:] - f[0]) / (i * (V - 2 * k + i + 1))
+    coef.append(f[0])
+    coef.reverse()                              # coef[k] = c_k
+
+    ups = [low.T for low in reversed(lows)]     # views: S^+_n, ..., S^+_1
 
     def project(x):
-        for lam in lams:
-            x = x - (low @ (up @ x)) / lam
-        return x
+        ys = [x]
+        for up in ups:
+            ys.append(up @ ys[-1])
+        w = coef[0] * ys.pop()
+        for low, c in zip(lows, coef[1:]):
+            w = c * ys.pop() + low @ w
+        return w
 
     return project
 

@@ -250,6 +250,13 @@ def test_extension_energy_ratio_finite_and_stable():
     assert abs(top12 - top) / top < 0.5
 
 
+def test_extension_energy_ratio_pinned():
+    # the largest ratio does not depend on which orthonormal basis spans the
+    # highest-weight space; values from the pivoted QR of the lowering matrix
+    assert extension_energy_ratio(2, 8, 2)[0] == pytest.approx(3.444433588528355, abs=1e-10)
+    assert extension_energy_ratio(2, 12, 2)[0] == pytest.approx(4.178744892788336, abs=1e-10)
+
+
 def test_extension_dominates_hamiltonian_energy():
     # <Xi psi, h Xi psi> >= <psi, H psi>: the contraction only loses energy
     d, N, n = 2, 8, 2

@@ -97,6 +97,25 @@ def test_energy_level_wraps_arpack_failures(monkeypatch, capsys, exc):
     assert rep.failures[-1]["stage"] == "dilution"
 
 
+def test_failed_levels_are_null_in_json_reports(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise ArpackError(-9)
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    monkeypatch.setattr(heis.eigen, "eigsh", fail)
+    assert main(["foel", "--graph", "path:L=8", "--n", "1", "--method", "krylov"]) == 3
+    res = json.loads(capsys.readouterr().out, parse_constant=reject)["results"]
+    assert res["energies"] == {"1": None, "2": None, "3": None, "4": None}
+    assert [f["n_prime"] for f in res["failures"]] == [1, 2, 3, 4]
+    assert main(["induct", "--d", "1", "--n", "4", "--N-max", "9",
+                 "--method", "krylov"]) == 3
+    res = json.loads(capsys.readouterr().out, parse_constant=reject)["results"]
+    assert [r["E_n"] for r in res["rows"]] == [None, None]
+    assert res["partial"] is True
+
+
 def test_programming_errors_propagate(monkeypatch):
     def broken(g, n):
         raise TypeError("bug")

@@ -327,6 +327,37 @@ def test_highest_weight_projector_exact():
         assert np.max(np.abs(P - basis @ basis.T)) <= 1e-12
 
 
+@pytest.mark.parametrize("g", [make_path(10), make_ring(10), make_lambda(2, 11)],
+                         ids=["path10", "ring10", "lambda2_11"])
+def test_highest_weight_projector_matches_valence_bond_oracle(g):
+    V = g.vertex_count
+    for n in range(1, V // 2 + 1):
+        # QQ^T from a thin QR of the Rumer basis shares no code with the sweep
+        q = np.linalg.qr(valence_bond_basis(V, n).toarray())[0]
+        P = highest_weight_projector(g, n)(np.eye(math.comb(V, n)))
+        assert np.max(np.abs(P - q @ q.T)) <= 1e-12
+    for n in (0, V // 2 + 1):
+        with pytest.raises(ValueError):
+            highest_weight_projector(g, n)
+
+
+@pytest.mark.parametrize("V", [14, 16])
+def test_highest_weight_projector_at_equator(V):
+    # n = V/2 is the worst-conditioned level: the sweep runs through every
+    # sector below it
+    g, n = make_path(V), V // 2
+    project = highest_weight_projector(g, n)
+    low = lowering_matrix(g, n).to_csr()
+    rng = np.random.default_rng(V)
+    x = rng.standard_normal(math.comb(V, n))
+    z = rng.standard_normal(math.comb(V, n - 1))
+    px = project(x)
+    tol = 1e-11 * np.max(np.abs(x))
+    assert np.max(np.abs(low.T @ px)) <= tol
+    assert np.max(np.abs(project(px) - px)) <= tol
+    assert np.max(np.abs(project(low @ z))) <= 1e-11 * np.max(np.abs(z))
+
+
 @pytest.mark.parametrize("V", range(1, 11))
 def test_valence_bond_basis_spans_highest_weight_space(V):
     for n in range(V // 2 + 1):
