@@ -27,11 +27,11 @@ from .graph import load_graph, make_box, make_lambda, make_path, make_ring
 from .eigen import labeled_spectra
 from .foel import energy_level, foel_check, induction_run
 from .spinwave import (
+    _residual,
     bose_energy,
     gram_limit,
-    gram_matrix,
     occupation_from_modes,
-    residual,
+    trial_state,
 )
 from .analysis import contraction_deficit, rho, rho_max, trace_check
 from .graph import lambda_spec
@@ -193,14 +193,14 @@ def cmd_induct(args):
 def cmd_spinwave(args):
     modes = parse_modes(args.modes, args.d)
     spec = lambda_spec(args.d, args.N)
-    res = residual(args.d, args.N, modes)
-    gram = gram_matrix(args.d, args.N, [modes])
+    state = trial_state(args.d, args.N, modes)
+    psi = state.coefficients
     nu = occupation_from_modes(modes)
     result = {
         "d": args.d, "N": args.N, "L": spec.L, "L_plus": spec.L_plus,
         "modes": [list(m) for m in modes],
-        "residual": res,
-        "norm_squared": float(gram[0, 0]),
+        "residual": _residual(state),
+        "norm_squared": float(psi @ psi),       # as gram_matrix computes it
         "norm_squared_limit": float(gram_limit([modes])[0, 0]),
         "bose_energy": bose_energy(args.d, spec.L_plus, nu),
         "mode_energy": float(sum(c * c for k in modes for c in k)),

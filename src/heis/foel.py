@@ -349,6 +349,7 @@ class InductionReport:
             "grid_violations": self.grid_violations,
             "dilution_problems": self.dilution_problems,
             "partial": self.partial,
+            **({"failures": self.failures} if self.failures else {}),
         }
 
 

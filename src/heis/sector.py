@@ -9,6 +9,7 @@ here the combinatorial number system (colexicographic order) is used.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -40,7 +41,6 @@ class MagnonBasis:
         self.vertex_count = vertex_count
         self.n = n
         self.dim = math.comb(vertex_count, n)
-        self._weights = None
 
     def rank(self, subset):
         c = sorted(subset)
@@ -85,15 +85,17 @@ class MagnonBasis:
             ])
         return sub
 
+    @functools.cached_property
+    def _weights(self):
+        # [v, i] = C(v, i+1), the rank weight of v at slot i; entries no
+        # n-subset can reach stay 0, which keeps the table inside int64
+        V, n = self.vertex_count, self.n
+        return np.array(
+            [[math.comb(v, i + 1) if v - i <= V - n else 0 for i in range(n)]
+             for v in range(V)], dtype=np.int64).reshape(V, n)
+
     def rank_array(self, sub):
         """Ranks of the ascending rows of a (m, n) subset array."""
-        if self._weights is None:
-            # weights[v, i] = C(v, i+1); entries no n-subset can reach stay 0,
-            # which keeps the table inside int64 for any vertex count
-            V, n = self.vertex_count, self.n
-            self._weights = np.array(
-                [[math.comb(v, i + 1) if v - i <= V - n else 0 for i in range(n)]
-                 for v in range(V)], dtype=np.int64).reshape(V, n)
         return self._weights[sub, np.arange(self.n)].sum(axis=1)
 
 
@@ -258,11 +260,6 @@ class FunctionSpaceIndex:
         return itertools.product(range(self.vertex_count), repeat=self.n)
 
 
-def _indexed_edges(g):
-    idx = g.index_of()
-    return [(idx[u], idx[v], j) for (u, v), j in zip(g.edges, g.couplings)]
-
-
 def _membership(sub, vertex_count):
     """(V, dim) boolean table whose row x marks the subsets containing x."""
     member = np.zeros((vertex_count, len(sub)), dtype=bool)
@@ -277,32 +274,42 @@ def hamiltonian_magnon(g, n):
     1/2 convention) of the hard-core hopping graph: the diagonal entry of a
     subset X is half the total coupling crossing the boundary of X, and each
     single-magnon hop along an edge of coupling J contributes -J/2.
+
+    Only the hops from x = c_s to a free y > x are generated: they raise the
+    colex rank, and y lands at slot q = s + #{t > s : c_t < y}, so the target
+    has rank i - C(x, s+1) + sum_{t=s+1..q} [C(c_t, t) - C(c_t, t+1)] + C(y, q+1).
     """
     V = g.vertex_count
-    if not 0 <= n <= V:
-        raise ValueError(f"magnon number {n} out of range")
     basis = MagnonBasis(V, n)
     sub = basis.array()
-    member = _membership(sub, V)
-    index = np.arange(basis.dim)
+    # below[v, i] = #{c in X_i : c < v}; x is in X_i when below[x + 1, i] > below[x, i]
+    below = np.zeros((V + 1, basis.dim), dtype=np.min_scalar_type(n))
+    below[1:][sub, np.arange(basis.dim)[:, None]] = 1
+    for v in range(1, V + 1):
+        below[v] += below[v - 1]
+    w = basis._weights
+    # shift[i, q] - shift[i, s] = sum_{t=s+1..q} [C(c_t, t) - C(c_t, t+1)]; the terms
+    # outside s+1..q cancel, so the weight table's unreachable zeros there do no harm
+    shift = np.zeros((basis.dim, n), dtype=np.int64)
+    for t in range(1, n):
+        shift[:, t] = shift[:, t - 1] + w[sub[:, t], t - 1] - w[sub[:, t], t]
     diag = np.zeros(basis.dim)
     rows, cols, vals = [], [], []
-    for (u, v, j) in _indexed_edges(g):
-        cross = member[u] != member[v]
-        diag[cross] += 0.5 * j
-        # the magnon on the edge hops to its other end: swap u and v
-        hop = sub[cross]
-        hopped = np.where(hop == u, v, np.where(hop == v, u, hop))
-        hopped.sort(axis=1)
-        i, k = index[cross], basis.rank_array(hopped)
-        upper = i < k
-        rows.append(i[upper])
-        cols.append(k[upper])
-        vals.append(np.full(int(upper.sum()), -0.5 * j))
-    nonzero = diag != 0.0
-    rows.append(index[nonzero])
-    cols.append(index[nonzero])
-    vals.append(diag[nonzero])
+    idx = g.index_of()
+    for (u, v), j in zip(g.edges, g.couplings):
+        x, y = idx[u], idx[v]                   # x < y: vertices and edges are sorted
+        in_x = below[x + 1] > below[x]
+        cross = in_x != (below[y + 1] > below[y])
+        np.add(diag, 0.5 * j, out=diag, where=cross)
+        i = np.flatnonzero(in_x & cross)
+        s, q = below[x][i], below[y][i] - 1
+        rows.append(i)
+        cols.append(i + (w[y][q] - w[x][s]) + (shift.take(i * n + q) - shift.take(i * n + s)))
+        vals.append(np.full(len(i), -0.5 * j))
+    index = np.flatnonzero(diag)
+    rows.append(index)
+    cols.append(index)
+    vals.append(diag[index])
     return SparseSymOp(shape=(basis.dim, basis.dim), rows=np.concatenate(rows),
                        cols=np.concatenate(cols), vals=np.concatenate(vals),
                        symmetric=True)
@@ -313,6 +320,8 @@ def lowering_matrix(g, n):
 
     The column of a subset X with |X| = n-1 has a unit entry at every
     superset X + {x}; the transpose represents the raising operator.
+    Inserted at slot q = #{c in X : c < x}, x makes the superset of column j
+    rank j + sum_{t>=q} [C(c_t, t+2) - C(c_t, t+1)] + C(x, q+1).
     """
     V = g.vertex_count
     if not 1 <= n <= V:
@@ -322,14 +331,19 @@ def lowering_matrix(g, n):
     dst = MagnonBasis(V, n)
     sub = src.array()
     member = _membership(sub, V)
-    index = np.arange(src.dim)
+    # tail[j, q] = sum_{t>=q} [C(c_t, t+2) - C(c_t, t+1)]
+    tail = np.zeros((src.dim, n), dtype=np.int64)
+    for t in range(n - 2, -1, -1):
+        c = sub[:, t]
+        tail[:, t] = tail[:, t + 1] + dst._weights[c, t + 1] - src._weights[c, t]
+    below = np.zeros(src.dim, dtype=np.min_scalar_type(n))     # #{c in X : c < x}
     rows, cols = [], []
     for x in range(V):
-        free = ~member[x]
-        grown = np.column_stack((sub[free], np.full(int(free.sum()), x, dtype=np.int64)))
-        grown.sort(axis=1)
-        rows.append(dst.rank_array(grown))
-        cols.append(index[free])
+        j = np.flatnonzero(~member[x])
+        q = below[j]
+        rows.append(j + tail.take(j * n + q) + dst._weights[x][q])
+        cols.append(j)
+        below += member[x]
     rows = np.concatenate(rows)
     return SparseSymOp(shape=(dst.dim, src.dim), rows=rows,
                        cols=np.concatenate(cols), vals=np.ones(len(rows)),

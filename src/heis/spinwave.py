@@ -157,9 +157,13 @@ def residual(d, N, modes):
     Measures how far the trial state is from an eigenvector of the rescaled
     Hamiltonian (GAP_SCALE^-1 L^2 H) at eigenvalue sum |kappa|^2.
     """
-    state = trial_state(d, N, modes)
-    spec = lambda_spec(d, N)
-    g = make_lambda(d, N)
+    return _residual(trial_state(d, N, modes))
+
+
+def _residual(state):
+    """:func:`residual` of a trial state that is already built."""
+    spec = lambda_spec(state.d, state.N)
+    g = make_lambda(state.d, state.N)
     H = hamiltonian_magnon(g, state.n).to_csr()
     m = sum(c * c for k in state.modes for c in k)
     psi = state.coefficients

@@ -116,6 +116,28 @@ def test_failed_levels_are_null_in_json_reports(monkeypatch, capsys):
     assert res["partial"] is True
 
 
+def test_partial_induct_report_lists_failures(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise ArpackError(-9)
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    argv = ["induct", "--d", "1", "--n", "4", "--N-max", "9", "--method", "krylov"]
+    with monkeypatch.context() as m:
+        m.setattr(heis.eigen, "eigsh", fail)
+        assert main(argv) == 3
+        res = json.loads(capsys.readouterr().out, parse_constant=reject)["results"]
+    assert res["partial"] is True
+    assert [(f["N"], f["r"]) for f in res["failures"][:2]] == [(8, 4), (9, 4)]
+    assert all("ARPACK" in f["error"] for f in res["failures"][:2])
+    assert res["failures"][-1]["stage"] == "dilution"
+    # a complete report carries no failures key
+    assert main(argv) == 0
+    res = json.loads(capsys.readouterr().out, parse_constant=reject)["results"]
+    assert res["partial"] is False and "failures" not in res
+
+
 def test_programming_errors_propagate(monkeypatch):
     def broken(g, n):
         raise TypeError("bug")

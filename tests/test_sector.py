@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heis.errors import ParseError, SizeBudgetError
-from heis.graph import lambda_spec, make_box, make_lambda, make_path, make_ring
+from heis.graph import Graph, lambda_spec, make_box, make_lambda, make_path, make_ring
 from heis.sector import (
     SECTOR_BUDGET,
     FunctionSpaceIndex,
@@ -134,20 +134,30 @@ def test_builders_match_product_space_oracle_up_to_ten_sites(g):
 
 def _reference_entries(g, n):
     """Per-subset loop over the sector: {(row, col): value} of H and of S^-."""
+    V = g.vertex_count
     idx = g.index_of()
     edges = [(idx[a], idx[b], J) for (a, b), J in zip(g.edges, g.couplings)]
-    basis = MagnonBasis(g.vertex_count, n)
+    at = [[] for _ in range(V)]
+    for e, (u, v, _) in enumerate(edges):
+        at[u].append(e)
+        at[v].append(e)
+
+    def colex(k):
+        return sorted(itertools.combinations(range(V), k), key=lambda c: c[::-1])
+
+    rank = {frozenset(X): i for i, X in enumerate(colex(n))}
     H = {}
-    for i, X in enumerate(basis.subsets()):
-        inX = set(X)
-        for (u, v, J) in edges:
+    for inX, i in rank.items():
+        # the edges touching X, in edge order (the order the diagonal sums in)
+        for e in sorted({e for x in inX for e in at[x]}):
+            u, v, J = edges[e]
             if (u in inX) != (v in inX):
                 H[i, i] = H.get((i, i), 0.0) + 0.5 * J
-                H[i, basis.rank(inX ^ {u, v})] = -0.5 * J
+                H[i, rank[inX ^ {u, v}]] = -0.5 * J
     low = {}
-    for j, X in enumerate(MagnonBasis(g.vertex_count, n - 1).subsets()):
-        for x in set(range(g.vertex_count)) - set(X):
-            low[basis.rank(X + (x,)), j] = 1.0
+    for j, X in enumerate(colex(n - 1)):
+        for x in set(range(V)) - set(X):
+            low[rank[frozenset(X + (x,))], j] = 1.0
     return H, low
 
 
@@ -160,6 +170,59 @@ def test_builders_match_reference_loop_at_64_sites():
     low = lowering_matrix(g, 2).to_csr().todok()
     assert dict(H.items()) == H_ref
     assert dict(low.items()) == low_ref
+
+
+def _assert_builders_match_reference_loop(g, n):
+    """The stored entries of H (both triangles) and S^- equal the reference
+    loop's, to the sign of zero.  H stores no zero diagonal entry."""
+    H_ref, low_ref = _reference_entries(g, n)
+    H, low = hamiltonian_magnon(g, n), lowering_matrix(g, n)
+    upper = list(zip(H.rows.tolist(), H.cols.tolist()))
+    got = dict(zip(upper, H.vals.tolist()))
+    assert len(got) == len(upper)
+    got.update(zip(((c, r) for r, c in upper), H.vals.tolist()))
+    assert got == {k: v for k, v in H_ref.items() if k[0] != k[1] or v != 0.0}
+    for k in np.flatnonzero(H.vals == 0.0):
+        key = upper[k]
+        assert np.signbit(H.vals[k]) == (math.copysign(1.0, H_ref[key]) < 0)
+    low_got = dict(zip(zip(low.rows.tolist(), low.cols.tolist()), low.vals.tolist()))
+    assert len(low_got) == len(low.rows)
+    assert low_got == low_ref
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_builders_match_reference_loop_in_spinwave_sectors(d):
+    # the sectors of `heis spinwave --N 64` with three modes: dim C(64, 3) = 41664
+    _assert_builders_match_reference_loop(make_lambda(d, 64), 3)
+
+
+@pytest.mark.parametrize("g", [make_path(12), make_lambda(3, 12)], ids=["path12", "lambda3_12"])
+def test_builders_match_reference_loop_at_equator(g):
+    _assert_builders_match_reference_loop(g, 6)
+
+
+def test_builders_match_reference_loop_with_zero_couplings():
+    # the dilution at t = 0: the newest edges carry coupling 0, and their hops
+    # are still stored, as explicit -0.0 entries
+    g = make_lambda(2, 10)
+    older = make_lambda(2, 9).edge_keys()
+    keys = list(g.edge_keys())
+    assert len(keys) > len(older)
+    g = g.with_couplings({e: 0.0 if e not in older else 1.0 + 0.125 * k
+                          for k, e in enumerate(keys)})
+    for n in range(1, g.vertex_count + 1):
+        _assert_builders_match_reference_loop(g, n)
+    H = hamiltonian_magnon(g, 2)
+    zero_hops = H.vals[(H.rows != H.cols) & (H.vals == 0.0)]
+    assert len(zero_hops) and np.all(np.signbit(zero_hops))
+
+
+def test_builders_match_reference_loop_on_sparse_vertex_ids():
+    g = Graph(vertices=(2, 5, 7, 11, 13, 20, 31),
+              edges=((2, 5), (2, 13), (5, 7), (5, 31), (7, 20), (11, 13), (11, 20), (13, 31)),
+              couplings=(1.0, 0.5, 2.0, 0.25, 0.0, 1.5, 0.3, 0.75))
+    for n in range(1, g.vertex_count + 1):
+        _assert_builders_match_reference_loop(g, n)
 
 
 def test_sector_budget_fails_fast():
