@@ -260,11 +260,35 @@ class FunctionSpaceIndex:
         return itertools.product(range(self.vertex_count), repeat=self.n)
 
 
-def _membership(sub, vertex_count):
-    """(V, dim) boolean table whose row x marks the subsets containing x."""
-    member = np.zeros((vertex_count, len(sub)), dtype=bool)
-    member[sub, np.arange(len(sub))[:, None]] = True
-    return member
+def _insertions(vertex_count, n):
+    """Insert each vertex x = 0..V-1 into the (n-1)-subsets X_j.
+
+    Per x, yields the ascending ranks j of the X_j without x and the ranks
+    j + tail[j, q] + C(x, q+1) of X_j + {x} in mag(n), where
+    tail[j, q] = sum_{t>=q} [C(c_t, t+2) - C(c_t, t+1)].  The slot
+    q = #{c in X_j : c < x} is a pointer that steps when x meets the pointed
+    element.  Both sector budgets are checked on the call, before any step.
+    """
+    V = vertex_count
+    src, dst = MagnonBasis(V, n - 1), MagnonBasis(V, n)
+    check_sector_budget(V, n)
+    sub = np.column_stack((src.array(), np.full(src.dim, V)))  # V: past every c
+    tail = np.zeros((src.dim, n), dtype=np.int64)
+    for t in range(n - 2, -1, -1):
+        c = sub[:, t]
+        tail[:, t] = tail[:, t + 1] + dst._weights[c, t + 1] - src._weights[c, t]
+
+    def walk():
+        row = np.arange(0, src.dim * n, n)
+        q = np.zeros(src.dim, dtype=np.int64)   # slot pointer: #{c in X_j : c < x}
+        for x in range(V):
+            at = row + q
+            free = sub.take(at) != x
+            j = np.flatnonzero(free)
+            yield j, j + tail.take(at[j]) + dst._weights[x].take(q[j])
+            q += ~free
+
+    return walk()
 
 
 def hamiltonian_magnon(g, n):
@@ -275,42 +299,36 @@ def hamiltonian_magnon(g, n):
     subset X is half the total coupling crossing the boundary of X, and each
     single-magnon hop along an edge of coupling J contributes -J/2.
 
-    Only the hops from x = c_s to a free y > x are generated: they raise the
-    colex rank, and y lands at slot q = s + #{t > s : c_t < y}, so the target
-    has rank i - C(x, s+1) + sum_{t=s+1..q} [C(c_t, t) - C(c_t, t+1)] + C(y, q+1).
+    A hop along the edge x < y joins Z + {x} and Z + {y}, two insertions
+    into an (n-1)-subset Z free of both; Z + {x} ranks lower in colex order,
+    so the stored pairs are the upper triangle.  Raises
+    :class:`SizeBudgetError` when C(V, n) or C(V, n-1) exceeds the budget.
     """
     V = g.vertex_count
-    basis = MagnonBasis(V, n)
-    sub = basis.array()
-    # below[v, i] = #{c in X_i : c < v}; x is in X_i when below[x + 1, i] > below[x, i]
-    below = np.zeros((V + 1, basis.dim), dtype=np.min_scalar_type(n))
-    below[1:][sub, np.arange(basis.dim)[:, None]] = 1
-    for v in range(1, V + 1):
-        below[v] += below[v - 1]
-    w = basis._weights
-    # shift[i, q] - shift[i, s] = sum_{t=s+1..q} [C(c_t, t) - C(c_t, t+1)]; the terms
-    # outside s+1..q cancel, so the weight table's unreachable zeros there do no harm
-    shift = np.zeros((basis.dim, n), dtype=np.int64)
-    for t in range(1, n):
-        shift[:, t] = shift[:, t - 1] + w[sub[:, t], t - 1] - w[sub[:, t], t]
-    diag = np.zeros(basis.dim)
+    if n == 0:
+        return SparseSymOp.zero(1)
+    walk = _insertions(V, n)                # checks both budgets before `into` exists
+    # into[x, j]: the rank of Z_j + {x}, or -1 when x is in Z_j
+    into = np.full((V, math.comb(V, n - 1)), -1, dtype=np.int64)
+    for x, (j, i) in enumerate(walk):
+        into[x, j] = i
+    diag = np.zeros(math.comb(V, n))
     rows, cols, vals = [], [], []
     idx = g.index_of()
-    for (u, v), j in zip(g.edges, g.couplings):
+    for (u, v), J in zip(g.edges, g.couplings):
         x, y = idx[u], idx[v]                   # x < y: vertices and edges are sorted
-        in_x = below[x + 1] > below[x]
-        cross = in_x != (below[y + 1] > below[y])
-        np.add(diag, 0.5 * j, out=diag, where=cross)
-        i = np.flatnonzero(in_x & cross)
-        s, q = below[x][i], below[y][i] - 1
-        rows.append(i)
-        cols.append(i + (w[y][q] - w[x][s]) + (shift.take(i * n + q) - shift.take(i * n + s)))
-        vals.append(np.full(len(i), -0.5 * j))
+        z = np.flatnonzero((into[x] >= 0) & (into[y] >= 0))
+        r, c = into[x, z], into[y, z]
+        # no rank repeats within one edge, so the diagonal sums edge by edge
+        diag[np.concatenate((r, c))] += 0.5 * J
+        rows.append(r)
+        cols.append(c)
+        vals.append(np.full(len(z), -0.5 * J))
     index = np.flatnonzero(diag)
     rows.append(index)
     cols.append(index)
     vals.append(diag[index])
-    return SparseSymOp(shape=(basis.dim, basis.dim), rows=np.concatenate(rows),
+    return SparseSymOp(shape=(len(diag), len(diag)), rows=np.concatenate(rows),
                        cols=np.concatenate(cols), vals=np.concatenate(vals),
                        symmetric=True)
 
@@ -320,34 +338,13 @@ def lowering_matrix(g, n):
 
     The column of a subset X with |X| = n-1 has a unit entry at every
     superset X + {x}; the transpose represents the raising operator.
-    Inserted at slot q = #{c in X : c < x}, x makes the superset of column j
-    rank j + sum_{t>=q} [C(c_t, t+2) - C(c_t, t+1)] + C(x, q+1).
     """
     V = g.vertex_count
     if not 1 <= n <= V:
         raise ValueError(f"magnon number {n} out of range")
-    check_sector_budget(V, n)
-    src = MagnonBasis(V, n - 1)
-    dst = MagnonBasis(V, n)
-    sub = src.array()
-    member = _membership(sub, V)
-    # tail[j, q] = sum_{t>=q} [C(c_t, t+2) - C(c_t, t+1)]
-    tail = np.zeros((src.dim, n), dtype=np.int64)
-    for t in range(n - 2, -1, -1):
-        c = sub[:, t]
-        tail[:, t] = tail[:, t + 1] + dst._weights[c, t + 1] - src._weights[c, t]
-    below = np.zeros(src.dim, dtype=np.min_scalar_type(n))     # #{c in X : c < x}
-    rows, cols = [], []
-    for x in range(V):
-        j = np.flatnonzero(~member[x])
-        q = below[j]
-        rows.append(j + tail.take(j * n + q) + dst._weights[x][q])
-        cols.append(j)
-        below += member[x]
-    rows = np.concatenate(rows)
-    return SparseSymOp(shape=(dst.dim, src.dim), rows=rows,
-                       cols=np.concatenate(cols), vals=np.ones(len(rows)),
-                       symmetric=False)
+    cols, rows = (np.concatenate(a) for a in zip(*_insertions(V, n)))
+    return SparseSymOp(shape=(math.comb(V, n), math.comb(V, n - 1)), rows=rows, cols=cols,
+                       vals=np.ones(len(rows)), symmetric=False)
 
 
 def casimir_magnon(g, n):
@@ -407,14 +404,15 @@ def valence_bond_basis(vertex_count, n):
     sub = basis.array()
     down = sub[(sub >= 2 * np.arange(n) + 1).all(axis=1)]
     m = len(down)
-    member = _membership(down, V)
+    pad = np.column_stack((down, np.full(m, V))).ravel()   # V: past every down
     stack = np.empty((m, V), dtype=np.int64)
     depth = np.zeros(m, dtype=np.int64)
     seen = np.zeros(m, dtype=np.int64)          # downs passed so far, per column
     up = np.empty((m, n), dtype=np.int64)       # up[:, k] is paired with down[:, k]
     cols = np.arange(m)
     for x in range(V):
-        d, u = cols[member[x]], cols[~member[x]]
+        is_down = pad.take(cols * (n + 1) + seen) == x
+        d, u = cols[is_down], cols[~is_down]
         depth[d] -= 1
         up[d, seen[d]] = stack[d, depth[d]]
         seen[d] += 1

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,6 +236,42 @@ def test_sector_budget_fails_fast():
         MagnonBasis(40, 20).array()
 
 
+def test_hamiltonian_above_equator_checks_the_lower_sector_budget():
+    # C(25, 19) fits the budget but C(25, 18), the sector its hops pass
+    # through, does not: the build fails before any sector-sized allocation
+    assert math.comb(25, 19) <= SECTOR_BUDGET < math.comb(25, 18)
+    g = make_path(25)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeBudgetError):
+            hamiltonian_magnon(g, 19)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_hamiltonian_on_long_path_allocates_no_vertex_by_sector_table():
+    # at n = 1 the sector is the vertex set: a (V, dim) table would be V^2
+    # entries, 36 MB of bytes at V = 6000, for 3V - 2 stored entries
+    V = 6000
+    g = make_path(V)
+    tracemalloc.start()
+    try:
+        H = hamiltonian_magnon(g, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20
+    # the path Laplacian: diagonal 1/2 at the ends and 1 inside, hops -1/2
+    on = H.rows == H.cols
+    assert np.array_equal(H.rows[on], np.arange(V))
+    assert np.array_equal(H.vals[on], np.r_[0.5, np.ones(V - 2), 0.5])
+    assert np.array_equal(H.rows[~on], np.arange(V - 1))
+    assert np.array_equal(H.cols[~on], np.arange(1, V))
+    assert np.all(H.vals[~on] == -0.5)
+
+
 def test_hamiltonian_sign_structure():
     op = hamiltonian_magnon(make_lambda(2, 7), 3)
     diag = op.rows == op.cols
@@ -443,6 +480,42 @@ def test_valence_bond_basis_pairs_by_ballot_scan():
     assert np.array_equal(2 * B[:, 1], [1, -1, 0, 0, -1, 1])
     with pytest.raises(ValueError):
         valence_bond_basis(4, 3)
+
+
+def _valence_bond_entries(V, n):
+    """Per-column loop: {(row, col): value} of the valence-bond basis.
+
+    A down set is a column when the stack scan finds an open up for every
+    down; each down pairs with the nearest open up before it.
+    """
+    colex = sorted(itertools.combinations(range(V), n), key=lambda c: c[::-1])
+    rank = {frozenset(X): i for i, X in enumerate(colex)}
+    entries, col = {}, 0
+    for down in colex:
+        stack, pairs = [], []
+        for x in range(V):
+            if x not in down:
+                stack.append(x)
+            elif stack:
+                pairs.append((stack.pop(), x))
+            else:
+                break
+        if len(pairs) < n:
+            continue
+        for on_up in itertools.product((False, True), repeat=n):
+            flipped = frozenset(a if up else c for (a, c), up in zip(pairs, on_up))
+            entries[rank[flipped], col] = (-1.0) ** sum(on_up) * 2.0 ** (-0.5 * n)
+        col += 1
+    return entries
+
+
+@pytest.mark.parametrize("V", range(0, 13))
+def test_valence_bond_basis_matches_stack_scan_loop(V):
+    for n in range(V // 2 + 1):
+        B = valence_bond_basis(V, n).tocoo()
+        got = dict(zip(zip(B.row.tolist(), B.col.tolist()), B.data.tolist()))
+        assert len(got) == B.nnz
+        assert got == _valence_bond_entries(V, n)
 
 
 def test_multiplet_dimension_identity():
