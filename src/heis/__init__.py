@@ -19,15 +19,11 @@ from .sector import (
     FunctionSpaceIndex,
     MagnonBasis,
     SparseSymOp,
-    assemble_full,
     casimir_magnon,
-    contraction_T,
     contraction_T_box,
     free_laplacian,
     hamiltonian_magnon,
     highest_weight_basis,
-    load_op,
-    lower_function,
     lowering_matrix,
 )
 from .eigen import (
@@ -36,20 +32,16 @@ from .eigen import (
     full_spectrum,
     label_spins,
     min_eig,
-    spectral_count,
 )
 from .foel import (
     DilutedSequence,
     DiluteStep,
-    EnergyLevels,
     FoelVerdict,
     InductionReport,
     dilute_extend,
     energy_level,
-    energy_levels,
     foel_check,
     induction_run,
-    new_low_index,
 )
 from .spinwave import (
     GAP_SCALE,

@@ -1,4 +1,4 @@
-"""Extremal and full eigensolvers, spectral counting, and total-spin labeling."""
+"""Extremal and full eigensolvers and total-spin labeling."""
 
 from __future__ import annotations
 
@@ -43,10 +43,6 @@ class EigResult:
     vectors: np.ndarray = None          # orthonormal columns, optional
     residual_norms: np.ndarray = None
     method: str = "dense"
-
-    def multiplicities(self, tol=DEGENERACY_TOL):
-        """(first value, multiplicity) per run of :func:`degenerate_runs`."""
-        return [(float(self.values[i]), j - i) for i, j in degenerate_runs(self.values, tol)]
 
 
 @dataclass
@@ -188,18 +184,6 @@ def min_eig(op, deflate=None, tol=1e-10, seed=0, method="auto"):
         return project(mat @ project(x)) + lift * (x - project(x))
 
     return lowest_eig(apply, project, dim, method=method, tol=tol, seed=seed)
-
-
-def spectral_count(op, energy, degeneracy_tol=DEGENERACY_TOL, psd_tol=1e-10):
-    """Dimension of the spectral subspace for energies in [0, energy].
-
-    Counts eigenvalues at most ``energy + degeneracy_tol``.  Requires the
-    operator to be positive semi-definite up to ``psd_tol``.
-    """
-    vals = full_spectrum(op, with_vectors=False).values
-    if vals.size and vals[0] < -psd_tol:
-        raise ValueError(f"operator is not PSD (min eig {vals[0]:.3e})")
-    return int(np.sum(vals <= energy + degeneracy_tol))
 
 
 def _spin_from_casimir(c, V, tol=1e-8):

@@ -25,17 +25,6 @@ _MAX_SOLVES = 60
 
 
 @dataclass
-class EnergyLevels:
-    """Map n -> minimum energy among states of spin deviate exactly n."""
-
-    graph_id: str
-    values: dict
-
-    def __getitem__(self, n):
-        return self.values.get(n, math.inf)
-
-
-@dataclass
 class FoelVerdict:
     n: int
     holds: bool
@@ -136,12 +125,6 @@ def _lowest_level(g, n, method, tol, seed, vector):
 
     return lowest_eig(apply, project, H.shape[0], method=method, tol=tol, seed=seed,
                       vector=vector)
-
-
-def energy_levels(g, method="auto", graph_id="", seed=0):
-    vals = {n: energy_level(g, n, method=method, seed=seed)
-            for n in range(g.vertex_count // 2 + 1)}
-    return EnergyLevels(graph_id=graph_id, values=vals)
 
 
 def foel_check(g, n, strict=False, tol=ENERGY_TOL, method="auto", seed=0):
@@ -292,23 +275,6 @@ def dilute_extend(prev, next_graph, n, tol=ENERGY_TOL, method="auto", seed=0):
     return DiluteStep(t_star=t, couplings=J, energy=e, case=2)
 
 
-def new_low_index(seq, N, start=1):
-    """Smallest labeled index >= N at which the sequence attains a running minimum.
-
-    ``seq[i]`` carries the label ``start + i``.  Returns ``math.inf`` when no
-    index in range qualifies.
-    """
-    seq = list(seq)
-    if not seq:
-        raise ValueError("empty sequence")
-    running = math.inf
-    for i, value in enumerate(seq):
-        running = min(running, value)
-        if start + i >= N and value == running:
-            return start + i
-    return math.inf
-
-
 @dataclass
 class InductionRow:
     N: int
@@ -360,6 +326,8 @@ def induction_run(d, n, N_max, tol=ENERGY_TOL, method="auto", seed=0):
     builds the diluted coupling chain, and at every new low verifies that the
     new-low energy is at most every E_r(k-vertex graph) with r >= n, k <= N.
     """
+    if n < 1:
+        raise ValueError(f"level n must be at least 1, got n={n}")
     if N_max < 2 * n:
         raise ValueError("N_max must be at least 2n")
     N_values = list(range(2 * n, N_max + 1))

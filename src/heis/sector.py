@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ParseError, SizeBudgetError
+from .errors import SizeBudgetError
 
 #: Cap on |V|**n for operators living on the full n-particle function space.
 FUNCTION_SPACE_BUDGET = 1 << 21
@@ -172,56 +172,6 @@ class SparseSymOp:
     def zero(cls, dim):
         e = np.empty(0)
         return cls(shape=(dim, dim), rows=e, cols=e, vals=e, symmetric=True)
-
-    def dump(self, path):
-        """Write the operator in the golden-test text format."""
-        with open(path, "w") as fh:
-            if self.shape[0] == self.shape[1]:
-                fh.write(f"#dim {self.shape[0]} symmetric={str(self.symmetric).lower()}\n")
-            else:
-                fh.write(
-                    f"#dim {self.shape[0]} {self.shape[1]} "
-                    f"symmetric={str(self.symmetric).lower()}\n"
-                )
-            order = np.lexsort((self.cols, self.rows))
-            for i in order:
-                fh.write(f"{self.rows[i]} {self.cols[i]} {float(self.vals[i])!r}\n")
-
-
-def load_op(path):
-    """Read an operator written by :meth:`SparseSymOp.dump`."""
-    rows, cols, vals = [], [], []
-    shape = None
-    symmetric = True
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#dim"):
-                parts = line.split()
-                try:
-                    dims = [int(p) for p in parts[1:] if "=" not in p]
-                    shape = (dims[0], dims[0]) if len(dims) == 1 else (dims[0], dims[1])
-                    symmetric = parts[-1].split("=")[1] == "true"
-                except (IndexError, ValueError):
-                    raise ParseError("bad operator header", lineno)
-                continue
-            if line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ParseError(f"expected 'row col value', got {line!r}", lineno)
-            try:
-                rows.append(int(parts[0]))
-                cols.append(int(parts[1]))
-                vals.append(float(parts[2]))
-            except ValueError:
-                raise ParseError(f"could not parse {line!r}", lineno)
-    if shape is None:
-        raise ParseError("missing #dim header")
-    return SparseSymOp(shape=shape, rows=np.array(rows), cols=np.array(cols),
-                       vals=np.array(vals), symmetric=symmetric)
 
 
 class FunctionSpaceIndex:
@@ -523,22 +473,12 @@ def _contraction(basis, ids, size):
                        vals=np.full(len(rows), scale), symmetric=False)
 
 
-def contraction_T(g, n):
-    """The map from n-particle functions to the n-magnon sector.
-
-    Sends F to (n!)^(-1/2) sum_x F(x_1..x_n) times the flipped state at
-    {x_1..x_n}; tuples with repeated vertices are annihilated.
-    """
-    V = g.vertex_count
-    return _contraction(MagnonBasis(V, n), np.arange(V), V)
-
-
 def contraction_T_box(d, N, n):
     """Contraction from functions on the surrounding box to mag(n) of the lattice graph.
 
-    Functions live on (B^d(L+))^n; they are restricted to tuples of distinct
-    points of the N-vertex lattice graph and then contracted as in
-    :func:`contraction_T`.
+    Sends F on (B^d(L+))^n to (n!)^(-1/2) sum_x F(x_1..x_n) times the flipped
+    state at {x_1..x_n}; only tuples of distinct points of the N-vertex
+    lattice graph count.  At d = 1 the box is the N-vertex path.
     """
     from .graph import lambda_spec, make_box, make_lambda
 
@@ -547,36 +487,3 @@ def contraction_T_box(d, N, n):
     box_pos = {p: i for i, p in enumerate(box.points)}
     lam_ids = np.array([box_pos[p] for p in lam.points], dtype=np.int64)
     return _contraction(MagnonBasis(lam.vertex_count, n), lam_ids, box.vertex_count)
-
-
-def lower_function(F, vertex_count):
-    """Function-space counterpart of the lowering operator.
-
-    Maps F on V^n to the function on V^(n+1) obtained by summing F over all
-    n+1 ways of deleting one coordinate.  Intertwines with the contraction:
-    T o lower_function = S^- o T.
-    """
-    F = np.asarray(F, dtype=float)
-    if F.ndim == 0:
-        return np.full(vertex_count, float(F))
-    n = F.ndim
-    if F.shape != (vertex_count,) * n:
-        raise ValueError("F must be an n-fold array over the vertex set")
-    if vertex_count ** (n + 1) > FUNCTION_SPACE_BUDGET:
-        raise SizeBudgetError("target function space exceeds budget")
-    out = np.zeros((vertex_count,) * (n + 1))
-    for k in range(n + 1):
-        out += np.expand_dims(F, axis=k)
-    return out
-
-
-def assemble_full(g):
-    """Block-diagonal Hamiltonian over all magnon sectors n = 0..V.
-
-    The blocks are ordered by n; the total dimension is 2^V.
-    """
-    V = g.vertex_count
-    if 2 ** V > FUNCTION_SPACE_BUDGET:
-        raise SizeBudgetError(f"2^{V} exceeds budget")
-    blocks = [hamiltonian_magnon(g, n).to_csr() for n in range(V + 1)]
-    return SparseSymOp.from_scipy(sp.block_diag(blocks, format="csr"), symmetric=True)

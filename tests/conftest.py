@@ -60,6 +60,40 @@ def project_sector(mat, V, n, m=None):
     return mat[np.ix_(rows, cols)]
 
 
+def product_level(g, n):
+    """Lowest energy among product-space states of S^3 = S = V/2 - n.
+
+    The S^3 block is cut from the diagonal of :func:`product_spin_ops`, and
+    total spin is read from the eigenvalues of :func:`product_casimir` in it.
+    """
+    V = g.vertex_count
+    s = 0.5 * V - n
+    s3, _ = product_spin_ops(V)
+    block = np.flatnonzero(s3 == s)
+    cas_vals, cas_vecs = np.linalg.eigh(product_casimir(V)[np.ix_(block, block)])
+    Q = cas_vecs[:, np.abs(cas_vals - s * (s + 1)) < 1e-8]
+    H = product_hamiltonian(g)[np.ix_(block, block)]
+    return float(np.linalg.eigvalsh(Q.T @ H @ Q)[0])
+
+
+def spectral_count(mat, energy, tol=1e-8):
+    """Number of eigenvalues of the dense symmetric ``mat`` at most ``energy + tol``."""
+    return int(np.sum(np.linalg.eigvalsh(mat) <= energy + tol))
+
+
+def lower_function(F, vertex_count):
+    """Function-space counterpart of the lowering operator.
+
+    Maps F on V^n to the function on V^(n+1) obtained by summing F over all
+    n+1 ways of deleting one coordinate; a scalar F maps to a constant on V.
+    """
+    F = np.asarray(F, dtype=float)
+    out = np.zeros((vertex_count,) * (F.ndim + 1))
+    for k in range(F.ndim + 1):
+        out += np.expand_dims(F, axis=k)
+    return out
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240811)

@@ -182,6 +182,13 @@ def test_induct_unfinished_low_exits_ok(capsys):
     assert results["rows"][-1]["t_star"] < 1.0
 
 
+def test_induct_level_zero_is_an_argument_error(capsys):
+    code, out, err = run(capsys, "induct", "--d", "1", "--n", "0", "--N-max", "4")
+    assert code == 2
+    assert out == ""
+    assert "n=0" in err and "d and N" not in err
+
+
 def test_induct_dilution_solver_failure_keeps_report(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise ArpackError(-9)

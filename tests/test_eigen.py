@@ -10,7 +10,6 @@ from heis.errors import LabelingError, NumericalError, SizeBudgetError
 from heis.graph import Graph, make_box, make_lambda, make_path, make_ring
 from heis.sector import (
     SparseSymOp,
-    assemble_full,
     hamiltonian_magnon,
     lowering_matrix,
     valence_bond_basis,
@@ -18,14 +17,14 @@ from heis.sector import (
 from heis.eigen import (
     DENSE_BUDGET,
     EigResult,
+    degenerate_runs,
     full_spectrum,
     label_spins,
     labeled_spectra,
     lowest_eig,
     min_eig,
-    spectral_count,
 )
-from conftest import product_casimir, product_hamiltonian, project_sector
+from conftest import product_casimir, product_hamiltonian, project_sector, spectral_count
 
 
 def test_full_spectrum_grid():
@@ -54,8 +53,11 @@ def test_full_spectrum_budget():
 
 
 def test_full_spectrum_assembled_two_site():
-    eig = full_spectrum(assemble_full(make_box(1, 2)))
-    assert np.allclose(eig.values, [0.0, 0.0, 0.0, 1.0], atol=1e-12)
+    g = make_box(1, 2)
+    union = np.sort(np.concatenate([full_spectrum(hamiltonian_magnon(g, n)).values
+                                    for n in range(3)]))
+    assert np.allclose(union, [0.0, 0.0, 0.0, 1.0], atol=1e-12)
+    assert np.allclose(union, np.linalg.eigvalsh(product_hamiltonian(g)), atol=1e-12)
 
 
 def test_min_eig_zero_operator():
@@ -147,16 +149,16 @@ def test_lowest_eig_value_only(method):
 
 
 def test_spectral_count_basic():
-    H2 = hamiltonian_magnon(make_box(1, 2), 1)
+    H2 = hamiltonian_magnon(make_box(1, 2), 1).to_dense()
     assert spectral_count(H2, 0.5) == 1
-    H9 = hamiltonian_magnon(make_box(2, 3), 1)
+    H9 = hamiltonian_magnon(make_box(2, 3), 1).to_dense()
     assert spectral_count(H9, 1.6) == 6
     assert spectral_count(H9, -0.5) == 0
 
 
 def test_spectral_count_monotone_in_energy_and_sector():
     g = make_path(6)
-    ops = {n: hamiltonian_magnon(g, n) for n in (1, 2, 3)}
+    ops = {n: hamiltonian_magnon(g, n).to_dense() for n in (1, 2, 3)}
     grid = np.linspace(0, 4, 17)
     for n in (2, 3):
         prev = None
@@ -166,12 +168,6 @@ def test_spectral_count_monotone_in_energy_and_sector():
             if prev is not None:
                 assert c >= prev
             prev = c
-
-
-def test_spectral_count_requires_psd():
-    neg = SparseSymOp.from_scipy(np.diag([-1.0, 1.0]), symmetric=True)
-    with pytest.raises(ValueError):
-        spectral_count(neg, 1.0)
 
 
 def test_label_spins_two_site():
@@ -207,16 +203,17 @@ def test_label_spins_ring_multiplet_counts():
 
 def test_clustered_spectrum_grouping():
     # gaps of 0.6e-8 chain into one group of three, though its ends are
-    # 1.2e-8 apart; multiplicities and label_spins must group alike
+    # 1.2e-8 apart; degenerate_runs and label_spins must group alike
     g = make_path(4)
     vectors = full_spectrum(hamiltonian_magnon(g, 1)).vectors
     eig = EigResult(values=np.array([0.0, 0.6e-8, 1.2e-8, 1.0]), vectors=vectors)
-    assert eig.multiplicities() == [(0.0, 3), (1.0, 1)]
+    runs = [(float(eig.values[i]), j - i) for i, j in degenerate_runs(eig.values)]
+    assert runs == [(0.0, 3), (1.0, 1)]
     labeled = label_spins(g, 1, eig)
     per_energy = {}
     for e in labeled.entries:
         per_energy[e.energy] = per_energy.get(e.energy, 0) + e.multiplicity
-    assert list(per_energy.values()) == [m for _, m in eig.multiplicities()]
+    assert list(per_energy.values()) == [m for _, m in runs]
     assert sorted(labeled.labels[:3]) == [0, 1, 1]
 
 

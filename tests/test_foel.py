@@ -14,16 +14,14 @@ from heis.cli import main
 from heis.errors import ConvergenceError, NumericalError, SizeBudgetError
 from heis.graph import Graph, make_box, make_lambda, make_path, make_ring
 from heis.sector import hamiltonian_magnon
-from heis.eigen import full_spectrum, spectral_count
 from heis.foel import (
     DilutedSequence,
     dilute_extend,
     energy_level,
-    energy_levels,
     foel_check,
     induction_run,
-    new_low_index,
 )
+from conftest import product_level, spectral_count
 
 
 def test_energy_level_two_site():
@@ -162,9 +160,9 @@ def test_energy_level_matches_spectral_count_jump():
     # independent route: the first dimension jump between consecutive sectors
     g = make_lambda(2, 7)
     for n in (1, 2, 3):
-        Hn = hamiltonian_magnon(g, n)
-        Hm = hamiltonian_magnon(g, n - 1)
-        vals = full_spectrum(Hn, with_vectors=False).values
+        Hn = hamiltonian_magnon(g, n).to_dense()
+        Hm = hamiltonian_magnon(g, n - 1).to_dense()
+        vals = np.linalg.eigvalsh(Hn)
         jump = next(
             float(E) for E in vals
             if spectral_count(Hn, E) > spectral_count(Hm, E)
@@ -172,23 +170,48 @@ def test_energy_level_matches_spectral_count_jump():
         assert energy_level(g, n) == pytest.approx(jump, abs=1e-9)
 
 
-def test_energy_levels_passes_seed(monkeypatch):
+def test_foel_check_passes_method_and_seed(monkeypatch):
     calls = []
 
     def record(g, n, **kwargs):
         calls.append(kwargs)
         return 0.0
     monkeypatch.setattr(heis.foel, "energy_level", record)
-    energy_levels(make_path(4), seed=7)
-    assert calls == [{"method": "auto", "seed": 7}] * 3
+    foel_check(make_path(4), 0, method="krylov", seed=7)
+    assert calls == [{"method": "krylov", "seed": 7}] * 3
 
 
 def test_energy_levels_container():
-    lv = energy_levels(make_path(4), graph_id="path4")
-    assert lv[0] == 0.0
-    assert lv[2] > lv[1] > 0
-    assert lv[7] == math.inf
-    assert all(v >= -1e-10 for v in lv.values.values())
+    # the verdict keeps every level from n up to V/2, keyed by level
+    energies = foel_check(make_path(4), 0).energies
+    assert sorted(energies) == [0, 1, 2]
+    assert energies[0] == 0.0
+    assert energies[2] > energies[1] > 0
+    assert energy_level(make_path(4), 7) == math.inf
+
+
+def test_cube_violates_foel_3():
+    # lambda(3, 8) is the 2x2x2 cube: E_3 = 1.8299135 > E_4 = 1.7205477
+    g = make_lambda(3, 8)
+    e3, e4 = product_level(g, 3), product_level(g, 4)
+    assert e3 == pytest.approx(1.8299135, abs=1e-7)
+    assert e4 == pytest.approx(1.7205477, abs=1e-7)
+    verdict = foel_check(g, 3)
+    assert not verdict.holds and not verdict.incomplete
+    assert [m for m, _ in verdict.violations] == [4]
+    assert verdict.energies[3] == pytest.approx(e3, abs=1e-9)
+    assert verdict.energies[4] == pytest.approx(e4, abs=1e-9)
+
+
+def test_two_by_two_box_fails_strict_foel_1():
+    # lambda(2, 4) is the 4-cycle: E_1 = E_2 = 1
+    g = make_lambda(2, 4)
+    assert product_level(g, 1) == pytest.approx(1.0, abs=1e-12)
+    assert product_level(g, 2) == pytest.approx(1.0, abs=1e-12)
+    assert abs(energy_level(g, 2) - energy_level(g, 1)) < 1e-12
+    assert foel_check(g, 1).holds
+    strict = foel_check(g, 1, strict=True)
+    assert not strict.holds and [m for m, _ in strict.violations] == [2]
 
 
 def test_coupling_monotonicity_of_levels():
@@ -428,20 +451,15 @@ def test_diluted_sequence_checks_new_lows():
     assert seq.check_invariants() == ["new-low stage 1: J(1, 2) = 0.5 != 1"]
 
 
+def test_induction_run_rejects_level_below_one():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"n={n}"):
+            induction_run(1, n, 4)
+
+
 def test_dilute_extend_requires_extension():
     with pytest.raises(ValueError):
         dilute_extend((make_path(3), None, 0.5), make_path(5), 1)
-
-
-@given(st.lists(st.floats(0.1, 10, allow_nan=False), min_size=1, max_size=12),
-       st.integers(1, 12))
-def test_new_low_index_definition(seq, N):
-    got = new_low_index(seq, N)
-    candidates = [
-        i + 1 for i in range(len(seq))
-        if i + 1 >= N and seq[i] == min(seq[: i + 1])
-    ]
-    assert got == (candidates[0] if candidates else math.inf)
 
 
 @st.composite
@@ -460,13 +478,6 @@ def test_foel_one_holds_on_random_graphs(g):
     # the interchange process has the random walk's gap, so E_1 <= E_n
     verdict = foel_check(g, 1)
     assert verdict.holds and not verdict.incomplete
-
-
-def test_new_low_index_examples():
-    assert new_low_index((3, 2, 1), 2) == 2
-    assert new_low_index((5, 4, 3, 2), 1) == 1          # decreasing: nu(N) = N
-    assert new_low_index((1, 2, 3), 2) == math.inf
-    assert new_low_index((1.0, 0.5), 10, start=9) == 10
 
 
 def test_induction_run_d1_n1():

@@ -6,27 +6,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heis.errors import ParseError, SizeBudgetError
+from heis.errors import SizeBudgetError
 from heis.graph import Graph, lambda_spec, make_box, make_lambda, make_path, make_ring
 from heis.sector import (
     SECTOR_BUDGET,
     FunctionSpaceIndex,
     MagnonBasis,
     SparseSymOp,
-    assemble_full,
     casimir_magnon,
-    contraction_T,
     contraction_T_box,
     free_laplacian,
     hamiltonian_magnon,
     highest_weight_basis,
     highest_weight_projector,
-    load_op,
-    lower_function,
     lowering_matrix,
     valence_bond_basis,
 )
 from conftest import (
+    lower_function,
     product_casimir,
     product_hamiltonian,
     product_spin_ops,
@@ -575,13 +572,13 @@ def test_function_space_index_round_trip():
 # ---------------------------------------------------------------- contraction
 
 def test_contraction_single_particle_is_identity():
-    T = contraction_T(make_path(3), 1).to_dense()
+    T = contraction_T_box(1, 3, 1).to_dense()
     assert np.array_equal(T, np.eye(3))
 
 
 def test_contraction_kills_diagonal():
     V, n = 3, 2
-    T = contraction_T(make_path(V), n).to_csr()
+    T = contraction_T_box(1, V, n).to_csr()
     findex = FunctionSpaceIndex(V, n)
     F = np.zeros(findex.dim)
     F[findex.encode((1, 1))] = 1.0
@@ -590,7 +587,7 @@ def test_contraction_kills_diagonal():
 
 def test_contraction_isometry_on_symmetric_offdiagonal(rng):
     V, n = 4, 2
-    T = contraction_T(make_path(V), n).to_csr()
+    T = contraction_T_box(1, V, n).to_csr()
     cube = rng.standard_normal((V, V))
     cube = cube + cube.T
     np.fill_diagonal(cube, 0.0)
@@ -600,16 +597,16 @@ def test_contraction_isometry_on_symmetric_offdiagonal(rng):
 
 def test_contraction_nonexpansive_on_anything(rng):
     V, n = 4, 2
-    T = contraction_T(make_path(V), n).to_dense()
+    T = contraction_T_box(1, V, n).to_dense()
     s = np.linalg.svd(T, compute_uv=False)
     assert s[0] <= 1.0 + 1e-12
 
 
 def test_contraction_dominates_sector_hamiltonian():
     # T h T* >= H on mag(n)
-    for g in (make_path(4), make_box(2, 2)):
+    for d, g in ((1, make_path(4)), (2, make_box(2, 2))):
         for n in (1, 2):
-            T = contraction_T(g, n).to_csr()
+            T = contraction_T_box(d, 4, n).to_csr()
             h = free_laplacian(g, n).to_csr()
             H = hamiltonian_magnon(g, n).to_dense()
             diff = (T @ h @ T.T).toarray() - H
@@ -640,10 +637,11 @@ def _contraction_reference(ids, size, n):
     return T
 
 
-@pytest.mark.parametrize("g, n", [(make_path(5), 2), (make_ring(6), 3)])
+@pytest.mark.parametrize("g, n", [(make_path(5), 2), (make_path(6), 3)])
 def test_contraction_matches_reference_loop(g, n):
+    # on a path (d = 1) the box is the graph itself: identity coordinates
     V = g.vertex_count
-    assert np.array_equal(contraction_T(g, n).to_dense(),
+    assert np.array_equal(contraction_T_box(1, V, n).to_dense(),
                           _contraction_reference(range(V), V, n))
 
 
@@ -660,14 +658,14 @@ def test_contraction_box_matches_reference_loop(d, N, n):
 
 
 def test_contraction_zero_particles_is_unit():
-    assert np.array_equal(contraction_T(make_path(3), 0).to_dense(), [[1.0]])
+    assert np.array_equal(contraction_T_box(1, 3, 0).to_dense(), [[1.0]])
     assert np.array_equal(contraction_T_box(2, 8, 0).to_dense(), [[1.0]])
 
 
 def test_lower_function_scalar_intertwines_with_contraction():
     g = make_path(4)
-    lhs = contraction_T(g, 1).to_csr() @ lower_function(np.float64(2.5), 4)
-    rhs = lowering_matrix(g, 1).to_csr() @ (contraction_T(g, 0).to_csr() @ [2.5])
+    lhs = contraction_T_box(1, 4, 1).to_csr() @ lower_function(np.float64(2.5), 4)
+    rhs = lowering_matrix(g, 1).to_csr() @ (contraction_T_box(1, 4, 0).to_csr() @ [2.5])
     assert np.array_equal(lhs, rhs)
 
 
@@ -684,8 +682,8 @@ def test_lower_function_intertwines_with_contraction(rng):
     V, n = 4, 2
     g = make_path(V)
     F = rng.standard_normal((V,) * n)
-    Tn = contraction_T(g, n).to_csr()
-    Tn1 = contraction_T(g, n + 1).to_csr()
+    Tn = contraction_T_box(1, V, n).to_csr()
+    Tn1 = contraction_T_box(1, V, n + 1).to_csr()
     low = lowering_matrix(g, n + 1).to_csr()
     lhs = Tn1 @ lower_function(F, V).ravel()
     # with orthonormal flipped states the function-space lowering carries
@@ -694,49 +692,23 @@ def test_lower_function_intertwines_with_contraction(rng):
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
-# ---------------------------------------------------------------- dump/load
-
-def test_operator_dump_golden(tmp_path):
-    p = tmp_path / "op.txt"
-    hamiltonian_magnon(make_box(1, 2), 1).dump(p)
-    assert p.read_text() == "#dim 2 symmetric=true\n0 0 0.5\n0 1 -0.5\n1 1 0.5\n"
-
-
-def test_operator_dump_round_trip(tmp_path):
-    p = tmp_path / "op.txt"
-    op = hamiltonian_magnon(make_lambda(2, 6), 2)
-    op.dump(p)
-    back = load_op(p)
-    assert back.symmetric == op.symmetric
-    assert np.array_equal(back.to_dense(), op.to_dense())
-
-
-def test_rectangular_dump_round_trip(tmp_path):
-    p = tmp_path / "rect.txt"
-    op = lowering_matrix(make_path(4), 2)
-    op.dump(p)
-    back = load_op(p)
-    assert back.shape == op.shape
-    assert np.array_equal(back.to_dense(), op.to_dense())
-
-
-def test_load_op_errors(tmp_path):
-    p = tmp_path / "bad.txt"
-    p.write_text("0 0 1.0\n")
-    with pytest.raises(ParseError):
-        load_op(p)
-    p.write_text("#dim 2 symmetric=true\n0 0\n")
-    with pytest.raises(ParseError) as err:
-        load_op(p)
-    assert err.value.line_number == 2
-
-
 # ---------------------------------------------------------------- assembled
 
+def _sector_union(g):
+    """Ascending union of the spectra of mag(0), ..., mag(V)."""
+    return np.sort(np.concatenate([np.linalg.eigvalsh(hamiltonian_magnon(g, n).to_dense())
+                                   for n in range(g.vertex_count + 1)]))
+
+
 def test_assembled_two_site_spectrum():
-    full = assemble_full(make_box(1, 2)).to_dense()
-    assert np.allclose(np.linalg.eigvalsh(full), [0.0, 0.0, 0.0, 1.0], atol=1e-12)
+    g = make_box(1, 2)
+    assert np.allclose(_sector_union(g), [0.0, 0.0, 0.0, 1.0], atol=1e-12)
+    assert np.allclose(_sector_union(g), np.linalg.eigvalsh(product_hamiltonian(g)),
+                       atol=1e-12)
 
 
 def test_assembled_dimension():
-    assert assemble_full(make_path(5)).dim == 32
+    g = make_path(5)
+    assert sum(hamiltonian_magnon(g, n).dim for n in range(6)) == 32
+    assert np.allclose(_sector_union(g), np.linalg.eigvalsh(product_hamiltonian(g)),
+                       atol=1e-12)
