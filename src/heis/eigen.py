@@ -33,6 +33,10 @@ DEGENERACY_TOL = 1e-8
 #: highest-weight level.
 RESIDUAL_TOL = 1e-8
 
+#: Smallest ||project(s)|| / ||s|| of a start vector s that :func:`lowest_eig`
+#: hands to ARPACK; below it the seeded random start is used.
+_MIN_START_WEIGHT = 1e-3
+
 #: Entries of one column block of the sector vectors y = Bx.
 _BLOCK_ENTRIES = 1 << 20
 
@@ -101,7 +105,7 @@ def full_spectrum(op, with_vectors=True):
     return EigResult(values=vals, method="dense")
 
 
-def lowest_eig(apply, project, dim, method, tol, seed, vector=True):
+def lowest_eig(apply, project, dim, method, tol, seed, vector=True, start=None):
     """Lowest eigenpair of the symmetric operator x -> apply(x) on R^dim.
 
     ``method="auto"`` is dense at or below ``DENSE_CUTOFF`` and ARPACK above.
@@ -109,12 +113,14 @@ def lowest_eig(apply, project, dim, method, tol, seed, vector=True):
     apply(I) and raises :class:`SizeBudgetError` above ``DENSE_BUDGET``
     first; with ``vector=False`` it computes the eigenvalue alone and
     returns ``None`` for the vector.  ARPACK solves to relative residual
-    ``tol`` from ``project`` applied to a random vector; ``seed`` seeds it
-    and the restart vectors, so the result is deterministic.  ARPACK stops
-    with error -9 when the operator annihilates its start vector (the zero
-    operator does, at every size), so it runs on the operator plus the
-    identity and the shift is undone.  ARPACK failures raise
-    :class:`ConvergenceError`.
+    ``tol`` from ``project`` applied to a start vector s: s = ``start()``
+    when a zero-argument callable is given (it is called on the ARPACK path
+    only) and ||project(s)|| exceeds ``_MIN_START_WEIGHT`` ||s||, else a
+    random vector.  ``seed`` seeds that random vector and the restart
+    vectors, so the result is deterministic.  ARPACK stops with error -9
+    when the operator annihilates its start vector (the zero operator does,
+    at every size), so it runs on the operator plus the identity and the
+    shift is undone.  ARPACK failures raise :class:`ConvergenceError`.
     """
     if method == "auto":
         method = "dense" if dim <= DENSE_CUTOFF else "krylov"
@@ -129,7 +135,12 @@ def lowest_eig(apply, project, dim, method, tol, seed, vector=True):
             return float(scipy.linalg.eigh(A, subset_by_index=[0, 0], eigvals_only=True)[0]), None
         vals, vecs = scipy.linalg.eigh(A, subset_by_index=[0, 0])
         return float(vals[0]), vecs[:, 0]
-    v0 = project(np.random.default_rng(seed).standard_normal(dim))
+    v0 = None
+    if start is not None:
+        s = start()
+        v0 = project(s)
+    if v0 is None or np.linalg.norm(v0) <= _MIN_START_WEIGHT * np.linalg.norm(s):
+        v0 = project(np.random.default_rng(seed).standard_normal(dim))
     shifted = LinearOperator((dim, dim), matvec=lambda x: apply(x) + x, dtype=np.float64)
     try:
         vals, vecs = eigsh(shifted, k=1, which="SA", v0=v0, tol=tol,

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import HeisError, NumericalError
 from .graph import make_lambda
-from .sector import hamiltonian_magnon, highest_weight_projector
+from .sector import hamiltonian_magnon, highest_weight_projector, product_state
 from .eigen import lowest_eig
 
 #: Absolute tolerance for energy comparisons (spectra here are O(1)).
@@ -94,10 +94,14 @@ def energy_level(g, n, method="auto", tol=1e-10, seed=0):
     the result is the lowest eigenvalue of H + c(I - P) with
     c = ||H||_inf + 1, which lifts every lowered state above the spectrum of
     H.  :func:`heis.eigen.lowest_eig` solves it: densely up to
-    ``DENSE_CUTOFF``, else by ARPACK to relative residual ``tol`` from P
-    applied to a seeded random vector.  Raises :class:`SizeBudgetError` when
-    the sector exceeds ``SECTOR_BUDGET`` (or ``DENSE_BUDGET`` with
-    ``method="dense"``) and :class:`ConvergenceError` when ARPACK fails.
+    ``DENSE_CUTOFF``, else by ARPACK to relative residual ``tol``.  For
+    n >= 2 ARPACK starts from P applied to the spin-wave state of n magnons
+    in the graph's lowest non-constant one-magnon mode
+    (:func:`_spin_wave_state`); when P nearly annihilates it, and for n = 1,
+    from P applied to a random vector drawn with ``seed``, which also seeds
+    ARPACK's restarts.  Raises :class:`SizeBudgetError` when the sector
+    exceeds ``SECTOR_BUDGET`` (or ``DENSE_BUDGET`` with ``method="dense"``)
+    and :class:`ConvergenceError` when ARPACK fails.
     """
     return _lowest_level(g, n, method=method, tol=tol, seed=seed, vector=False)[0]
 
@@ -123,8 +127,25 @@ def _lowest_level(g, n, method, tol, seed, vector):
     def apply(x):
         return H @ x + lift * (x - project(x))
 
+    # at n = 1 the start would be the mode itself, found by a dense solve as
+    # large as the one it would replace
+    start = functools.partial(_spin_wave_state, g, n) if n >= 2 else None
     return lowest_eig(apply, project, H.shape[0], method=method, tol=tol, seed=seed,
-                      vector=vector)
+                      vector=vector, start=start)
+
+
+def _spin_wave_state(g, n):
+    """The state with coefficient prod_{x in X} phi(x) on mag(n), for phi the
+    lowest non-constant one-magnon mode: the lowest eigenvector of the
+    one-magnon H with its constant mode (energy 0) lifted by c 11^T / V,
+    c = ||H||_inf + 1, above the rest of the spectrum.  At large L the low
+    levels of spin deviate n are close to n magnons in that mode."""
+    one = hamiltonian_magnon(g, 1)
+    lift = one.norm_inf() + 1.0
+    one = one.to_csr()
+    _, phi = lowest_eig(lambda x: one @ x + lift * x.mean(axis=0), None, g.vertex_count,
+                        method="dense", tol=None, seed=None)
+    return product_state(phi, n)
 
 
 def foel_check(g, n, strict=False, tol=ENERGY_TOL, method="auto", seed=0):
@@ -133,7 +154,8 @@ def foel_check(g, n, strict=False, tol=ENERGY_TOL, method="auto", seed=0):
     In strict mode every level n' > n must exceed the level-n energy by more
     than ``tol``.  Solver failures mark the verdict incomplete instead of
     deciding it, and each keeps its level and exception in ``failures``.
-    ``seed`` seeds the ARPACK start vectors.
+    ``seed`` seeds ARPACK's restarts and its random start vectors, which
+    :func:`energy_level` uses only when the spin-wave start fails.
     """
     V = g.vertex_count
     if n > V // 2:

@@ -9,6 +9,7 @@ matched point-by-point.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .errors import ParseError, SizeBudgetError
@@ -63,8 +64,8 @@ class Graph:
             if u not in vset or v not in vset:
                 raise ValueError(f"edge ({u},{v}) references unknown vertex")
             seen.add((u, v))
-        if any(j < 0 for j in self.couplings):
-            raise ValueError("couplings must be nonnegative")
+        if not all(0 <= j < math.inf for j in self.couplings):
+            raise ValueError("couplings must be finite and nonnegative")
         if self.points is not None and len(self.points) != len(self.vertices):
             raise ValueError("points must align with vertices")
 
@@ -247,15 +248,20 @@ def save_graph(g, path):
 def load_graph(path):
     """Read a graph from edge-list format.  See :func:`save_graph`.
 
-    Raises :class:`ParseError` with the line number on malformed lines,
-    self-loops, negative couplings, or duplicate edges.
+    Raises :class:`ParseError` when the file cannot be read, and with the
+    line number on malformed lines, self-loops, negative or non-finite
+    couplings, or duplicate edges.
     """
     vertices = set()
     edges = []
     couplings = []
     seen = set()
     dim = None
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ParseError(f"cannot read graph file {str(path)!r}: {exc.strerror or exc}") from exc
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if raw.lstrip().startswith("#lattice"):
@@ -284,6 +290,8 @@ def load_graph(path):
                 raise ParseError("vertex ids must be nonnegative", lineno)
             if u == v:
                 raise ParseError(f"self-loop at vertex {u}", lineno)
+            if not math.isfinite(j):
+                raise ParseError(f"coupling {j} is not finite", lineno)
             if j < 0:
                 raise ParseError(f"negative coupling {j}", lineno)
             e = (min(u, v), max(u, v))

@@ -108,6 +108,24 @@ def check_sector_budget(vertex_count, n):
         )
 
 
+def product_state(phi, n):
+    """The n-magnon product state with coefficient prod_{x in X} phi[x] at X.
+
+    Returned in rank order as a 1-D array over mag(n), built one subset size
+    at a time as :meth:`MagnonBasis.array` builds its rows: the colex-ordered
+    k-subsets with largest element c are the first C(c, k-1) (k-1)-subsets
+    with c appended, so their coefficients are those times phi[c].  Raises
+    :class:`SizeBudgetError` above ``SECTOR_BUDGET``.
+    """
+    V = len(phi)
+    check_sector_budget(V, n)
+    s = np.ones(1)
+    for k in range(1, n + 1):
+        s = np.concatenate([s[: math.comb(c, k - 1)] * phi[c]
+                            for c in range(k - 1, V - n + k)])
+    return s
+
+
 @dataclass
 class SparseSymOp:
     """Sparse operator in coordinate format.

@@ -113,6 +113,13 @@ def test_spectrum_parse_error_exit_code(capsys):
     assert err.startswith("heis:")
 
 
+def test_foel_missing_graph_file_exit_code(capsys, tmp_path):
+    code, _, err = run(capsys, "foel", "--graph", f"file:{tmp_path / 'missing.txt'}",
+                       "--n", "1")
+    assert code == 2
+    assert err.startswith("heis: cannot read graph file") and "Traceback" not in err
+
+
 def test_spectrum_oversized_sector_fails_fast(capsys):
     # C(40, 20) ~ 1.4e11 subsets: refused before anything is enumerated
     start = time.perf_counter()

@@ -148,6 +148,31 @@ def test_lowest_eig_value_only(method):
     assert np.linalg.norm(H @ vec - value * vec) < 1e-8
 
 
+def test_lowest_eig_start_falls_back_to_the_seeded_random_vector():
+    # project() annihilates the constant start, so ARPACK starts from the
+    # same seeded random vector as with no start at all
+    H = hamiltonian_magnon(make_lambda(2, 9), 2).to_csr()
+    dim = H.shape[0]
+    apply, project = (lambda x: H @ x), (lambda x: x - x.mean())
+    plain = lowest_eig(apply, project, dim, "krylov", 1e-12, 3)
+    started = lowest_eig(apply, project, dim, "krylov", 1e-12, 3, start=lambda: np.ones(dim))
+    assert started[0] == plain[0]
+    assert np.array_equal(started[1], plain[1])
+
+
+def test_lowest_eig_builds_the_start_on_the_krylov_path_only():
+    H = hamiltonian_magnon(make_lambda(2, 9), 2).to_csr()
+    built = []
+
+    def start():
+        built.append(True)
+        return np.arange(H.shape[0], dtype=float)
+    for method in ("dense", "krylov"):
+        lowest_eig((lambda x: H @ x), (lambda x: x), H.shape[0], method, 1e-12, 0,
+                   start=start)
+        assert len(built) == (method == "krylov")
+
+
 def test_spectral_count_basic():
     H2 = hamiltonian_magnon(make_box(1, 2), 1).to_dense()
     assert spectral_count(H2, 0.5) == 1

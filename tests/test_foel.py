@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 import heis.eigen
 import heis.foel
 from heis.cli import main
 from heis.errors import ConvergenceError, NumericalError, SizeBudgetError
 from heis.graph import Graph, make_box, make_lambda, make_path, make_ring
-from heis.sector import hamiltonian_magnon
+from heis.eigen import highest_weight_levels
+from heis.sector import hamiltonian_magnon, highest_weight_projector
 from heis.foel import (
     DilutedSequence,
     dilute_extend,
@@ -54,11 +55,45 @@ def test_energy_level_path3():
 
 
 def test_energy_level_dense_krylov_agree():
-    for g in (make_path(8), make_ring(6)):
+    # the Krylov solves at n >= 2 start from the spin-wave state
+    for g in (make_path(8), make_ring(6), make_path(14), make_ring(12), make_lambda(2, 14)):
         for n in range(1, g.vertex_count // 2 + 1):
-            d = energy_level(g, n, method="dense")
+            # a dense solve of C(14, 6) or C(14, 7) states takes 2-3 s and
+            # 0.5 GB; there the valence-bond spectrum, which shares no code
+            # with P, stands in
+            if math.comb(g.vertex_count, n) > 2048:
+                d = highest_weight_levels(g, n)[0]
+            else:
+                d = energy_level(g, n, method="dense")
             k = energy_level(g, n, method="krylov", tol=1e-11)
-            assert abs(d - k) < 1e-8
+            assert abs(d - k) < 1e-10
+
+
+def test_spin_wave_start_falls_back_when_projected_away():
+    # phi is the zero mode that tells the isolated vertex from the path, so
+    # the start lies in the sum of two full-spin blocks and P kills it at n = 4
+    path = make_path(13)
+    g = Graph(tuple(range(14)), path.edges, path.couplings)
+    s = heis.foel._spin_wave_state(g, 4)
+    assert len(s) == 1001
+    assert np.linalg.norm(highest_weight_projector(g, 4)(s)) < 1e-12 * np.linalg.norm(s)
+    assert energy_level(g, 4) == pytest.approx(energy_level(g, 4, method="dense"), abs=1e-10)
+
+
+def test_spin_wave_start_saves_matvecs(monkeypatch):
+    # from P applied to a random vector, path16 at n = 3..8 took 946 matvecs
+    matvecs = 0
+
+    def counting(A, *args, **kwargs):
+        def matvec(x):
+            nonlocal matvecs
+            matvecs += 1
+            return A.matvec(x)
+        return eigsh(LinearOperator(A.shape, matvec=matvec, dtype=A.dtype), *args, **kwargs)
+    monkeypatch.setattr(heis.eigen, "eigsh", counting)
+    for n in range(3, 9):
+        energy_level(make_path(16), n)
+    assert 0 < matvecs < 946
 
 
 def test_energy_level_size_budgets():

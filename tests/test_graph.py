@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -100,6 +101,9 @@ def test_graph_invariants_enforced():
         Graph((0, 1), ((0, 2),), (1.0,))
     with pytest.raises(ValueError):
         Graph((0, 1), ((0, 1),), (-0.5,))
+    for j in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Graph((0, 1), ((0, 1),), (j,))
 
 
 def test_load_graph_basic(tmp_path):
@@ -127,6 +131,22 @@ def test_load_graph_errors(tmp_path):
     p.write_text("1 2 x\n")
     with pytest.raises(ParseError):
         load_graph(p)
+
+
+@pytest.mark.parametrize("j", ["nan", "inf", "-inf"])
+def test_load_graph_rejects_nonfinite_couplings(tmp_path, j):
+    p = tmp_path / "g.txt"
+    p.write_text(f"0 1 1.0\n1 2 {j}\n")
+    with pytest.raises(ParseError, match="not finite") as err:
+        load_graph(p)
+    assert err.value.line_number == 2
+
+
+def test_load_graph_unreadable_file(tmp_path):
+    with pytest.raises(ParseError, match="missing.txt"):
+        load_graph(tmp_path / "missing.txt")
+    with pytest.raises(ParseError, match="cannot read"):
+        load_graph(tmp_path)
 
 
 def test_save_load_round_trip(tmp_path):

@@ -20,6 +20,7 @@ from heis.sector import (
     highest_weight_basis,
     highest_weight_projector,
     lowering_matrix,
+    product_state,
     valence_bond_basis,
 )
 from conftest import (
@@ -231,6 +232,20 @@ def test_sector_budget_fails_fast():
             build(g, 20)
     with pytest.raises(SizeBudgetError):
         MagnonBasis(40, 20).array()
+
+
+@given(st.integers(0, 10), st.integers(0, 10))
+def test_product_state_matches_the_basis_rows(V, n):
+    if n > V:
+        return
+    phi = np.arange(1.0, V + 1.0) * (-1.0) ** np.arange(V)
+    rows = MagnonBasis(V, n).array()
+    assert np.array_equal(product_state(phi, n), np.prod(phi[rows], axis=1))
+
+
+def test_product_state_budget():
+    with pytest.raises(SizeBudgetError):
+        product_state(np.ones(40), 20)
 
 
 def test_hamiltonian_above_equator_checks_the_lower_sector_budget():
