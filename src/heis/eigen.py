@@ -37,8 +37,15 @@ RESIDUAL_TOL = 1e-8
 #: hands to ARPACK; below it the seeded random start is used.
 _MIN_START_WEIGHT = 1e-3
 
+#: Weight of the projected random vector in a Krylov start with a given state.
+_START_NOISE = 0.1
+
 #: Entries of one column block of the sector vectors y = Bx.
 _BLOCK_ENTRIES = 1 << 20
+
+#: Entries of one column block of the identity pushed through the operator
+#: and the projector by :func:`lowest_eig`'s dense path.
+_DENSE_BLOCK_ENTRIES = 1 << 17
 
 
 @dataclass
@@ -106,21 +113,35 @@ def full_spectrum(op, with_vectors=True):
 
 
 def lowest_eig(apply, project, dim, method, tol, seed, vector=True, start=None):
-    """Lowest eigenpair of the symmetric operator x -> apply(x) on R^dim.
+    """Lowest eigenpair of the symmetric operator x -> apply(x) on the range
+    of the orthogonal projector x -> project(x) in R^dim.
+
+    ``apply`` must commute with the projector and be positive semidefinite
+    on the complement of its range.  The solve is then of
+    A = apply + c(I - project): each state of the complement sits at c or
+    higher, so for c above the sought eigenvalue it is A's lowest.  Both
+    callables act on vectors and on the columns of a matrix.
 
     ``method="auto"`` is dense at or below ``DENSE_CUTOFF`` and ARPACK above.
-    The dense solve (also for dim 1, which ARPACK cannot take) materialises
-    apply(I) and raises :class:`SizeBudgetError` above ``DENSE_BUDGET``
-    first; with ``vector=False`` it computes the eigenvalue alone and
-    returns ``None`` for the vector.  ARPACK solves to relative residual
-    ``tol`` from ``project`` applied to a start vector s: s = ``start()``
-    when a zero-argument callable is given (it is called on the ARPACK path
-    only) and ||project(s)|| exceeds ``_MIN_START_WEIGHT`` ||s||, else a
-    random vector.  ``seed`` seeds that random vector and the restart
-    vectors, so the result is deterministic.  ARPACK stops with error -9
-    when the operator annihilates its start vector (the zero operator does,
-    at every size), so it runs on the operator plus the identity and the
-    shift is undone.  ARPACK failures raise :class:`ConvergenceError`.
+    The dense solve (also for dim 1, which ARPACK cannot take) raises
+    :class:`SizeBudgetError` above ``DENSE_BUDGET`` first, then builds A in
+    column blocks of ``_DENSE_BLOCK_ENTRIES`` entries, with
+    c = ||apply||_inf + 1; with ``vector=False`` it computes the eigenvalue
+    alone and returns ``None`` for the vector.
+
+    ARPACK solves to relative residual ``tol`` from a start v0 in the range:
+    with r a random vector drawn with ``seed`` and s = ``start()`` when a
+    zero-argument callable is given (it is called on the ARPACK path only),
+    v0 = Ps / ||Ps|| + ``_START_NOISE`` Pr / ||Pr||, or v0 = Pr when there is
+    no start or ||Ps|| <= ``_MIN_START_WEIGHT`` ||s||.  The random part
+    reaches every symmetry sector, which s alone may miss.  The lift is the
+    Rayleigh quotient c = <v0, apply v0> / <v0, v0> + 1, an upper bound on the
+    sought eigenvalue plus 1, so A's spectrum spans little more than that of
+    ``apply``.  ``seed`` also seeds the restart vectors, so the result is
+    deterministic.  ARPACK stops with error -9 when the operator annihilates
+    its start vector (the zero operator does, at every size), so it runs on
+    A plus the identity and the shift is undone.  ARPACK failures raise
+    :class:`ConvergenceError`.
     """
     if method == "auto":
         method = "dense" if dim <= DENSE_CUTOFF else "krylov"
@@ -130,18 +151,24 @@ def lowest_eig(apply, project, dim, method, tol, seed, vector=True, start=None):
         if dim > DENSE_BUDGET:
             raise SizeBudgetError(
                 f"dim {dim} exceeds dense budget {DENSE_BUDGET}; use the krylov path")
-        A = apply(np.eye(dim))
+        A = _lifted_matrix(apply, project, dim)
         if not vector:
-            return float(scipy.linalg.eigh(A, subset_by_index=[0, 0], eigvals_only=True)[0]), None
-        vals, vecs = scipy.linalg.eigh(A, subset_by_index=[0, 0])
+            return float(scipy.linalg.eigh(A, subset_by_index=[0, 0], eigvals_only=True,
+                                           overwrite_a=True)[0]), None
+        vals, vecs = scipy.linalg.eigh(A, subset_by_index=[0, 0], overwrite_a=True)
         return float(vals[0]), vecs[:, 0]
-    v0 = None
+    v0 = project(np.random.default_rng(seed).standard_normal(dim))
     if start is not None:
         s = start()
-        v0 = project(s)
-    if v0 is None or np.linalg.norm(v0) <= _MIN_START_WEIGHT * np.linalg.norm(s):
-        v0 = project(np.random.default_rng(seed).standard_normal(dim))
-    shifted = LinearOperator((dim, dim), matvec=lambda x: apply(x) + x, dtype=np.float64)
+        ps = project(s)
+        weight = np.linalg.norm(ps)
+        if weight > _MIN_START_WEIGHT * np.linalg.norm(s):
+            v0 = ps / weight + _START_NOISE / np.linalg.norm(v0) * v0
+    lift = float(v0 @ apply(v0)) / float(v0 @ v0) + 1.0
+
+    def shifted_lifted(x):
+        return apply(x) + (lift + 1.0) * x - lift * project(x)
+    shifted = LinearOperator((dim, dim), matvec=shifted_lifted, dtype=np.float64)
     try:
         vals, vecs = eigsh(shifted, k=1, which="SA", v0=v0, tol=tol,
                            rng=np.random.default_rng(seed))
@@ -157,15 +184,37 @@ def lowest_eig(apply, project, dim, method, tol, seed, vector=True, start=None):
     return float(vals[0]) - 1.0, vecs[:, 0]
 
 
+def _lifted_matrix(apply, project, dim):
+    """apply + c(I - project) as a dense Fortran-ordered matrix, c = ||apply||_inf + 1.
+
+    Built in column blocks of the identity, so the projector's temporaries
+    stay a block wide.  The first pass stores apply and its norm (the largest
+    absolute column sum, which is the row sum for a symmetric operator); the
+    second adds the lift.
+    """
+    A = np.empty((dim, dim), order="F")
+    width = max(1, _DENSE_BLOCK_ENTRIES // dim)
+    blocks = [slice(i, min(i + width, dim)) for i in range(0, dim, width)]
+    norm = 0.0
+    for b in blocks:
+        A[:, b] = apply(np.eye(dim, b.stop - b.start, -b.start))
+        norm = max(norm, float(np.abs(A[:, b]).sum(axis=0).max()))
+    lift = norm + 1.0
+    for b in blocks:
+        E = np.eye(dim, b.stop - b.start, -b.start)
+        A[:, b] += lift * (E - project(E))
+    return A
+
+
 def min_eig(op, deflate=None, tol=1e-10, seed=0, method="auto"):
     """Minimum eigenvalue and eigenvector, optionally deflated.
 
     ``deflate`` is a matrix of orthonormal columns; the minimum is taken over
     their orthogonal complement (the minimum Rayleigh quotient there), as the
-    lowest eigenpair of P M P + c(I - P) with P the complement projector and
-    c = ||M||_inf + 1.  Solved by :func:`lowest_eig`, so ``method`` and the
-    size budgets are the same as for ``energy_level``.  Deterministic for a
-    fixed seed.
+    lowest eigenpair of P M P on the range of P, the complement projector,
+    where P M P vanishes on the rest.  Solved by :func:`lowest_eig`, so
+    ``method`` and the size budgets are the same as for ``energy_level``.
+    Deterministic for a fixed seed.
     """
     mat = _as_csr(op)
     dim = mat.shape[0]
@@ -188,13 +237,8 @@ def min_eig(op, deflate=None, tol=1e-10, seed=0, method="auto"):
     def project(x):
         return x if deflate is None else x - deflate @ (deflate.T @ x)
 
-    # the deflation space is lifted above the whole spectrum of ``mat``
-    lift = float(abs(mat).sum(axis=1).max()) + 1.0
-
-    def apply(x):
-        return project(mat @ project(x)) + lift * (x - project(x))
-
-    return lowest_eig(apply, project, dim, method=method, tol=tol, seed=seed)
+    return lowest_eig(lambda x: project(mat @ project(x)), project, dim, method=method,
+                      tol=tol, seed=seed)
 
 
 def _spin_from_casimir(c, V, tol=1e-8):

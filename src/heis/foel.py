@@ -4,6 +4,7 @@ diluted-coupling induction harness over the growing lattice family."""
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -11,7 +12,13 @@ import numpy as np
 
 from .errors import HeisError, NumericalError
 from .graph import make_lambda
-from .sector import hamiltonian_magnon, highest_weight_projector, product_state
+from .sector import (
+    SECTOR_BUDGET,
+    hamiltonian_magnon,
+    highest_weight_projector,
+    lowering_chain,
+    product_state,
+)
 from .eigen import lowest_eig
 
 #: Absolute tolerance for energy comparisons (spectra here are O(1)).
@@ -85,28 +92,32 @@ class DilutedSequence:
         return problems
 
 
-def energy_level(g, n, method="auto", tol=1e-10, seed=0):
+def energy_level(g, n, method="auto", tol=1e-10, seed=0, *, lowering=None):
     """Minimum energy among states of spin deviate exactly n.
 
     Returns +inf for n beyond V/2 (the subspace is empty).  H commutes with
     the exact highest-weight projector P (:func:`highest_weight_projector`,
-    applied by one sweep down through the sectors below n and back up), so
-    the result is the lowest eigenvalue of H + c(I - P) with
-    c = ||H||_inf + 1, which lifts every lowered state above the spectrum of
-    H.  :func:`heis.eigen.lowest_eig` solves it: densely up to
-    ``DENSE_CUTOFF``, else by ARPACK to relative residual ``tol``.  For
-    n >= 2 ARPACK starts from P applied to the spin-wave state of n magnons
-    in the graph's lowest non-constant one-magnon mode
-    (:func:`_spin_wave_state`); when P nearly annihilates it, and for n = 1,
-    from P applied to a random vector drawn with ``seed``, which also seeds
-    ARPACK's restarts.  Raises :class:`SizeBudgetError` when the sector
-    exceeds ``SECTOR_BUDGET`` (or ``DENSE_BUDGET`` with ``method="dense"``)
-    and :class:`ConvergenceError` when ARPACK fails.
+    applied by one sweep down through the sectors below n and back up), and
+    H >= 0 (couplings are nonnegative), so :func:`heis.eigen.lowest_eig`
+    finds the result as the lowest eigenvalue of H + c(I - P), with every
+    lowered state lifted to c or higher: densely up to ``DENSE_CUTOFF``,
+    else by ARPACK to relative residual ``tol``.  For n >= 2 ARPACK starts
+    from P applied to the spin-wave state of n magnons in the graph's lowest
+    non-constant one-magnon mode (:func:`_spin_wave_state`) plus a little of
+    P applied to a random vector drawn with ``seed``, which also seeds
+    ARPACK's restarts; when P nearly annihilates the spin-wave state, and for
+    n = 1, from the projected random vector alone.  ``lowering`` is a
+    :func:`heis.sector.lowering_chain` for V vertices reaching at least n,
+    shared by the solves of one vertex count; without it P builds its own.
+    Raises :class:`SizeBudgetError` when the sector exceeds ``SECTOR_BUDGET``
+    (or ``DENSE_BUDGET`` with ``method="dense"``) and
+    :class:`ConvergenceError` when ARPACK fails.
     """
-    return _lowest_level(g, n, method=method, tol=tol, seed=seed, vector=False)[0]
+    return _lowest_level(g, n, method=method, tol=tol, seed=seed, vector=False,
+                         lowering=lowering)[0]
 
 
-def _lowest_level(g, n, method, tol, seed, vector):
+def _lowest_level(g, n, method, tol, seed, vector, lowering=None):
     """(E_n, unit eigenvector in the highest-weight space) as in
     :func:`energy_level`; the vector is ``None`` when n > V/2, and with
     ``vector=False`` also on the dense path, which then skips computing it."""
@@ -119,31 +130,23 @@ def _lowest_level(g, n, method, tol, seed, vector):
         return math.inf, None
     if n == 0:
         return 0.0, np.ones(1)
-    H = hamiltonian_magnon(g, n)
-    lift = H.norm_inf() + 1.0
-    H = H.to_csr()
-    project = highest_weight_projector(g, n)
-
-    def apply(x):
-        return H @ x + lift * (x - project(x))
-
+    H = hamiltonian_magnon(g, n).to_csr()
+    project = highest_weight_projector(g, n, lowering=lowering)
     # at n = 1 the start would be the mode itself, found by a dense solve as
     # large as the one it would replace
     start = functools.partial(_spin_wave_state, g, n) if n >= 2 else None
-    return lowest_eig(apply, project, H.shape[0], method=method, tol=tol, seed=seed,
-                      vector=vector, start=start)
+    return lowest_eig(lambda x: H @ x, project, H.shape[0], method=method, tol=tol,
+                      seed=seed, vector=vector, start=start)
 
 
 def _spin_wave_state(g, n):
     """The state with coefficient prod_{x in X} phi(x) on mag(n), for phi the
     lowest non-constant one-magnon mode: the lowest eigenvector of the
-    one-magnon H with its constant mode (energy 0) lifted by c 11^T / V,
-    c = ||H||_inf + 1, above the rest of the spectrum.  At large L the low
-    levels of spin deviate n are close to n magnons in that mode."""
-    one = hamiltonian_magnon(g, 1)
-    lift = one.norm_inf() + 1.0
-    one = one.to_csr()
-    _, phi = lowest_eig(lambda x: one @ x + lift * x.mean(axis=0), None, g.vertex_count,
+    one-magnon H on the complement of the constant mode (energy 0).  At
+    large L the low levels of spin deviate n are close to n magnons in that
+    mode."""
+    one = hamiltonian_magnon(g, 1).to_csr()
+    _, phi = lowest_eig(lambda x: one @ x, lambda x: x - x.mean(axis=0), g.vertex_count,
                         method="dense", tol=None, seed=None)
     return product_state(phi, n)
 
@@ -155,16 +158,18 @@ def foel_check(g, n, strict=False, tol=ENERGY_TOL, method="auto", seed=0):
     than ``tol``.  Solver failures mark the verdict incomplete instead of
     deciding it, and each keeps its level and exception in ``failures``.
     ``seed`` seeds ARPACK's restarts and its random start vectors, which
-    :func:`energy_level` uses only when the spin-wave start fails.
+    :func:`energy_level` mixes into its starts and uses alone when the
+    spin-wave start fails.  The levels share one :func:`_level_lowering`.
     """
     V = g.vertex_count
     if n > V // 2:
         raise ValueError(f"n={n} exceeds half the vertex count")
+    lowering = _level_lowering(g)
     energies = {}
     failures = []
     for m in range(n, V // 2 + 1):
         try:
-            energies[m] = energy_level(g, m, method=method, seed=seed)
+            energies[m] = energy_level(g, m, method=method, seed=seed, lowering=lowering)
         except HeisError as exc:
             failures.append({"n_prime": m, "error": f"{type(exc).__name__}: {exc}"})
             energies[m] = math.nan
@@ -181,6 +186,17 @@ def foel_check(g, n, strict=False, tol=ENERGY_TOL, method="auto", seed=0):
     return FoelVerdict(n=n, holds=not violations, strict=strict,
                        violations=violations, tol=tol, energies=energies,
                        incomplete=bool(failures), failures=failures)
+
+
+def _level_lowering(g):
+    """The :func:`heis.sector.lowering_chain` for every level of g that
+    fits ``SECTOR_BUDGET``: up to the largest m <= V/2 with C(V, m) within
+    it.  A level above fails its own budget check in :func:`energy_level`."""
+    V = g.vertex_count
+    top = V // 2
+    while top > 0 and math.comb(V, top) > SECTOR_BUDGET:
+        top -= 1
+    return lowering_chain(g, top)
 
 
 def _match_couplings(prev_graph, prev_J, next_graph):
@@ -201,7 +217,8 @@ def _match_couplings(prev_graph, prev_J, next_graph):
             for e, (key, target) in zip(next_graph.edges, next_map.items())]
 
 
-def dilute_extend(prev, next_graph, n, tol=ENERGY_TOL, method="auto", seed=0):
+def dilute_extend(prev, next_graph, n, tol=ENERGY_TOL, method="auto", seed=0, *,
+                  lowering=None):
     """One induction step of the diluted-system construction.
 
     ``prev`` is a (graph, couplings, energy) triple; ``next_graph`` adds one
@@ -229,6 +246,8 @@ def dilute_extend(prev, next_graph, n, tol=ENERGY_TOL, method="auto", seed=0):
     noise in E near t* can cause.  Case 2 solves t = 1 once more for psi_1;
     every other t is solved once.
 
+    ``lowering`` is handed to every solve, as in :func:`energy_level`.
+
     Raises :class:`NumericalError` when E(0) already exceeds the previous
     energy (no crossing), when a slope below t = 1 is not positive or an
     iterate's energy exceeds the previous one by more than ``tol`` (both
@@ -250,14 +269,15 @@ def dilute_extend(prev, next_graph, n, tol=ENERGY_TOL, method="auto", seed=0):
         return next_graph.with_couplings(J), J
 
     g, J = couple(1.0)
-    e = energy_level(g, n, method=method, seed=seed)
+    e = energy_level(g, n, method=method, seed=seed, lowering=lowering)
     if e <= prev_energy + tol:
         return DiluteStep(t_star=1.0, couplings=J, energy=e, case=1)
 
     @functools.cache
     def energy_at(t):
         g, J = couple(t)
-        return *_lowest_level(g, n, method=method, tol=1e-10, seed=seed, vector=True), J
+        return *_lowest_level(g, n, method=method, tol=1e-10, seed=seed, vector=True,
+                              lowering=lowering), J
 
     increments = {edge: target - start for edge, start, target in data}
     D = hamiltonian_magnon(next_graph.with_couplings(increments), n).to_csr()
@@ -347,34 +367,54 @@ def induction_run(d, n, N_max, tol=ENERGY_TOL, method="auto", seed=0):
     Computes the level energies along the lattice family, marks new lows,
     builds the diluted coupling chain, and at every new low verifies that the
     new-low energy is at most every E_r(k-vertex graph) with r >= n, k <= N.
+    The solves of each vertex count share one :func:`_level_lowering`.
     """
     if n < 1:
         raise ValueError(f"level n must be at least 1, got n={n}")
     if N_max < 2 * n:
         raise ValueError("N_max must be at least 2n")
     N_values = list(range(2 * n, N_max + 1))
-    graphs = {N: make_lambda(d, N) for N in N_values}
+    graphs = [make_lambda(d, N) for N in N_values]
     failures = []
-
-    def level(N, r):
-        try:
-            return energy_level(graphs[N], r, method=method, seed=seed)
-        except HeisError as exc:
-            failures.append({"N": N, "r": r, "error": str(exc)})
-            return math.nan
-
-    energy = {(N, r): level(N, r) for N in N_values for r in range(n, N // 2 + 1)}
+    energy = {}
+    couplings, t_values = [graphs[0].coupling_map()], [1.0]
+    dilution_error = None
+    # one pass per vertex count: its level grid and its dilution step share
+    # the lowering chain, which is dropped before the next count's is built
+    for i, (N, g) in enumerate(zip(N_values, graphs)):
+        lowering = _level_lowering(g)
+        for r in range(n, N // 2 + 1):
+            try:
+                energy[(N, r)] = energy_level(g, r, method=method, seed=seed,
+                                              lowering=lowering)
+            except HeisError as exc:
+                failures.append({"N": N, "r": r, "error": str(exc)})
+                energy[(N, r)] = math.nan
+        if i == 0:
+            energies = [energy[(N, n)]]
+        elif dilution_error is None:
+            try:
+                step = dilute_extend((graphs[i - 1], couplings[-1], energies[-1]), g, n,
+                                     tol=max(tol, 1e-10), method=method, seed=seed,
+                                     lowering=lowering)
+            except (HeisError, ValueError) as exc:
+                dilution_error = str(exc)
+            else:
+                couplings.append(step.couplings)
+                energies.append(step.energy)
+                t_values.append(step.t_star)
 
     rows = []
     running = math.inf
     new_lows = []
-    for N in N_values:
+    # the first row has no step; rows past a failed step have no t*
+    for N, t_star in itertools.zip_longest(N_values, [None, *t_values[1:]]):
         e = energy[(N, n)]
         is_low = not math.isnan(e) and e <= running + tol
         running = min(running, e) if not math.isnan(e) else running
         if is_low:
             new_lows.append(N)
-        rows.append(InductionRow(N=N, energy=e, is_new_low=is_low))
+        rows.append(InductionRow(N=N, energy=e, is_new_low=is_low, t_star=t_star))
 
     e_min_up = {
         N: min(energy[(N, r)] for r in range(n, N // 2 + 1)) for N in N_values
@@ -391,26 +431,12 @@ def induction_run(d, n, N_max, tol=ENERGY_TOL, method="auto", seed=0):
 
     diluted = None
     problems = []
-    try:
-        chain_graphs = [graphs[N] for N in N_values]
-        couplings = [chain_graphs[0].coupling_map()]
-        energies = [energy[(N_values[0], n)]]
-        t_values = [1.0]
-        for i in range(1, len(N_values)):
-            step = dilute_extend(
-                (chain_graphs[i - 1], couplings[-1], energies[-1]),
-                chain_graphs[i], n, tol=max(tol, 1e-10), method=method, seed=seed,
-            )
-            couplings.append(step.couplings)
-            energies.append(step.energy)
-            t_values.append(step.t_star)
-            rows[i].t_star = step.t_star
-        diluted = DilutedSequence(graphs=chain_graphs, couplings=couplings,
-                                  t_values=t_values, energies=energies,
-                                  new_lows=list(new_lows))
+    if dilution_error is None:
+        diluted = DilutedSequence(graphs=graphs, couplings=couplings, t_values=t_values,
+                                  energies=energies, new_lows=list(new_lows))
         problems = diluted.check_invariants(tol=max(tol, 1e-8))
-    except (HeisError, ValueError) as exc:
-        failures.append({"stage": "dilution", "error": str(exc)})
+    else:
+        failures.append({"stage": "dilution", "error": dilution_error})
 
     return InductionReport(
         d=d, n=n, rows=rows, e_min_up=e_min_up, new_lows=new_lows,

@@ -315,6 +315,15 @@ def lowering_matrix(g, n):
                        vals=np.ones(len(rows)), symmetric=False)
 
 
+def lowering_chain(g, n):
+    """S^-_1, ..., S^-_n as CSR matrices, S^-_k: mag(k-1) -> mag(k).
+
+    Built largest first, so each build's temporaries sit beside the smaller
+    matrices only.  They depend on the vertex count alone.
+    """
+    return [lowering_matrix(g, k).to_csr() for k in range(n, 0, -1)][::-1]
+
+
 def casimir_magnon(g, n):
     """Total-spin (Casimir) operator on the n-magnon sector.
 
@@ -397,7 +406,7 @@ def valence_bond_basis(vertex_count, n):
         shape=(basis.dim, m))
 
 
-def highest_weight_projector(g, n):
+def highest_weight_projector(g, n, *, lowering=None):
     """Exact orthogonal projector onto the highest-weight subspace of mag(n).
 
     Returned as a function applying P to a vector or to the columns of a
@@ -411,13 +420,19 @@ def highest_weight_projector(g, n):
     y_{k-1} = S^+ y_k down to level 0, then w_0 = c_0 y_0 and
     w_k = c_k y_k + S^- w_{k-1} back up to P x = w_n.  That is 2n sparse
     products, with k C(V, k) entries each at k = 1..n, and no factorization.
+
+    ``lowering`` is a :func:`lowering_chain` of at least n matrices for V
+    vertices, of which the first n are used; without it the chain is built.
     """
     V = g.vertex_count
     if not 1 <= n <= V // 2:
         raise ValueError(f"no lowered states to project out at n={n} for {V} vertices")
-    # built largest first: each build's temporaries then sit beside the
-    # smaller matrices only
-    lows = [lowering_matrix(g, k).to_csr() for k in range(n, 0, -1)][::-1]
+    if lowering is None:
+        lows = lowering_chain(g, n)
+    else:
+        lows = lowering[:n]
+        if len(lows) < n or lows[-1].shape != (math.comb(V, n), math.comb(V, n - 1)):
+            raise ValueError(f"the lowering chain does not reach S^-_{n} on {V} vertices")
     f = np.r_[1.0, np.zeros(n)]                # f_n: 1 on the highest-weight space
     coef = []
     for k in range(n, 0, -1):

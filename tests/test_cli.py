@@ -97,7 +97,7 @@ def test_foel_passes_seed_to_energy_level(capsys, monkeypatch):
 
     monkeypatch.setattr(heis.foel, "energy_level", record)
     run(capsys, "foel", "--graph", "path:L=4", "--n", "1", "--seed", "7")
-    assert calls == [{"method": "auto", "seed": 7}] * 2
+    assert [(c["method"], c["seed"]) for c in calls] == [("auto", 7)] * 2
 
 
 def test_spectrum_requires_sector(capsys):
@@ -165,6 +165,13 @@ def test_foel_ring_violation_exit_code(capsys):
     # the known numerical finding: level 3 dips below level 2 on the 6-ring
     assert code == 1
     assert rep["results"]["violations"][0]["n_prime"] == 3
+
+
+def test_foel_lambda_top_level(capsys):
+    # a Krylov start from the spin-wave state alone reported E_5 = 1.80394
+    code, out, _ = run(capsys, "foel", "--graph", "lambda:d=2,N=10", "--n", "1")
+    assert code == 0
+    assert abs(json.loads(out)["results"]["energies"]["5"] - 1.4946924698061517) <= 1e-9
 
 
 def test_induct_d1(capsys):

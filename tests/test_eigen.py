@@ -160,6 +160,29 @@ def test_lowest_eig_start_falls_back_to_the_seeded_random_vector():
     assert np.array_equal(started[1], plain[1])
 
 
+def test_lowest_eig_start_mixes_in_the_random_vector():
+    # the diagonal operator keeps the start's support, so a Krylov space
+    # grown from the start alone never meets the lowest state, at index 0;
+    # the projected random part reaches it
+    d = np.arange(1.0, 301.0)
+    value, vec = lowest_eig((lambda x: d * x), (lambda x: x), len(d), "krylov", 1e-12, 0,
+                            start=lambda: np.r_[np.zeros(150), np.ones(150)])
+    assert value == pytest.approx(1.0, abs=1e-10)
+    assert abs(vec[0]) == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("method", ["dense", "krylov"])
+def test_lowest_eig_lifts_the_complement_above_the_level(method):
+    # apply is 0 on the complement of the range: lifted to c, every state
+    # there sits above the range's lowest value 5
+    d = np.r_[np.zeros(150), np.arange(5.0, 155.0)]
+    keep = (d > 0).astype(float)
+    value, vec = lowest_eig((lambda x: (d * x.T).T), (lambda x: (keep * x.T).T), len(d),
+                            method, 1e-12, 0)
+    assert value == pytest.approx(5.0, abs=1e-10)
+    assert abs(vec[150]) == pytest.approx(1.0, abs=1e-8)
+
+
 def test_lowest_eig_builds_the_start_on_the_krylov_path_only():
     H = hamiltonian_magnon(make_lambda(2, 9), 2).to_csr()
     built = []

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator
 
 import heis.eigen
 import heis.foel
+import heis.sector
 from heis.cli import main
 from heis.errors import ConvergenceError, NumericalError, SizeBudgetError
 from heis.graph import Graph, make_box, make_lambda, make_path, make_ring
@@ -56,7 +58,8 @@ def test_energy_level_path3():
 
 def test_energy_level_dense_krylov_agree():
     # the Krylov solves at n >= 2 start from the spin-wave state
-    for g in (make_path(8), make_ring(6), make_path(14), make_ring(12), make_lambda(2, 14)):
+    for g in (make_path(8), make_ring(6), make_path(14), make_ring(12), make_lambda(2, 14),
+              make_lambda(2, 10), make_lambda(3, 9), make_lambda(3, 12)):
         for n in range(1, g.vertex_count // 2 + 1):
             # a dense solve of C(14, 6) or C(14, 7) states takes 2-3 s and
             # 0.5 GB; there the valence-bond spectrum, which shares no code
@@ -80,8 +83,42 @@ def test_spin_wave_start_falls_back_when_projected_away():
     assert energy_level(g, 4) == pytest.approx(energy_level(g, 4, method="dense"), abs=1e-10)
 
 
+@pytest.mark.parametrize("d, N, n", [(2, 10, 5), (2, 15, 3), (3, 12, 5), (3, 12, 6),
+                                     (3, 13, 4), (3, 15, 4)])
+def test_auto_level_matches_dense_where_the_spin_wave_state_misses(d, N, n):
+    # the spin-wave state has the symmetry of the lowest one-magnon mode; a
+    # Krylov space grown from it alone never reached these ground states
+    # (lambda(2, 10) at n = 5 gave 1.80394 instead of 1.49469)
+    g = make_lambda(d, N)
+    assert abs(energy_level(g, n) - energy_level(g, n, method="dense")) < 1e-10
+
+
+@pytest.mark.parametrize("d, N", [(2, 10), (3, 9)])
+def test_krylov_level_matches_product_oracle_where_the_spin_wave_state_misses(d, N):
+    g = make_lambda(d, N)
+    assert abs(energy_level(g, 3, method="krylov") - product_level(g, 3)) < 1e-10
+
+
+def test_dense_level_builds_the_matrix_in_column_blocks():
+    # pushing all of I through the projector's sweep at once kept a
+    # (C(V, k), dim) block for every k <= n: 4.9x the matrix at path12 n = 6
+    g, n = make_path(12), 6
+    dim = math.comb(12, 6)
+    energy_level(g, 2, method="dense")
+    tracemalloc.start()
+    try:
+        e = energy_level(g, n, method="dense")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * dim * dim
+    assert abs(e - 0.25895175088059297) < 1e-12       # the one-piece build's value
+
+
 def test_spin_wave_start_saves_matvecs(monkeypatch):
-    # from P applied to a random vector, path16 at n = 3..8 took 946 matvecs
+    # from P applied to a random vector, path16 at n = 3..8 took 946 matvecs;
+    # from P applied to the spin-wave state alone, with the lowered states
+    # lifted by ||H||_inf + 1, 596 there and 546 on the 4x4 box
     matvecs = 0
 
     def counting(A, *args, **kwargs):
@@ -91,9 +128,36 @@ def test_spin_wave_start_saves_matvecs(monkeypatch):
             return A.matvec(x)
         return eigsh(LinearOperator(A.shape, matvec=matvec, dtype=A.dtype), *args, **kwargs)
     monkeypatch.setattr(heis.eigen, "eigsh", counting)
-    for n in range(3, 9):
-        energy_level(make_path(16), n)
-    assert 0 < matvecs < 946
+    for g, before in ((make_path(16), 596), (make_lambda(2, 16), 546)):
+        matvecs = 0
+        for n in range(3, 9):
+            energy_level(g, n)
+        assert 0 < matvecs < before
+
+
+def test_one_lowering_chain_per_vertex_count(monkeypatch):
+    built = []
+
+    def counting(g, n):
+        built.append((g.vertex_count, n))
+        return lowering_matrix(g, n)
+    lowering_matrix = heis.sector.lowering_matrix
+    monkeypatch.setattr(heis.sector, "lowering_matrix", counting)
+    foel_check(make_path(16), 1, strict=True)
+    assert built == [(16, k) for k in range(8, 0, -1)]
+    built.clear()
+    # the level grid and the dilution step of each N share one chain
+    induction_run(2, 4, 14)
+    assert built == [(N, k) for N in range(8, 15) for k in range(N // 2, 0, -1)]
+
+
+def test_energy_level_takes_a_shared_lowering_chain():
+    g = make_lambda(2, 12)
+    chain = heis.sector.lowering_chain(g, 6)
+    for n in (1, 3, 6):
+        assert energy_level(g, n, lowering=chain) == energy_level(g, n)
+    with pytest.raises(ValueError):
+        energy_level(g, 6, lowering=chain[:5])
 
 
 def test_energy_level_size_budgets():
@@ -213,7 +277,10 @@ def test_foel_check_passes_method_and_seed(monkeypatch):
         return 0.0
     monkeypatch.setattr(heis.foel, "energy_level", record)
     foel_check(make_path(4), 0, method="krylov", seed=7)
-    assert calls == [{"method": "krylov", "seed": 7}] * 3
+    assert [(c["method"], c["seed"]) for c in calls] == [("krylov", 7)] * 3
+    # every level gets the one S^- chain of the graph, S^-_1 and S^-_2
+    assert [low.shape for low in calls[0]["lowering"]] == [(4, 1), (6, 4)]
+    assert all(c["lowering"] is calls[0]["lowering"] for c in calls)
 
 
 def test_energy_levels_container():

@@ -19,6 +19,7 @@ from heis.sector import (
     hamiltonian_magnon,
     highest_weight_basis,
     highest_weight_projector,
+    lowering_chain,
     lowering_matrix,
     product_state,
     valence_bond_basis,
@@ -451,6 +452,22 @@ def test_highest_weight_projector_matches_valence_bond_oracle(g):
     for n in (0, V // 2 + 1):
         with pytest.raises(ValueError):
             highest_weight_projector(g, n)
+
+
+def test_highest_weight_projector_takes_a_lowering_chain():
+    g = make_lambda(2, 10)
+    chain = lowering_chain(g, 5)
+    assert [low.shape for low in chain] == [
+        (math.comb(10, k), math.comb(10, k - 1)) for k in range(1, 6)]
+    rng = np.random.default_rng(5)
+    for n in range(1, 6):
+        x = rng.standard_normal(math.comb(10, n))
+        shared = highest_weight_projector(g, n, lowering=chain)(x)
+        assert np.array_equal(shared, highest_weight_projector(g, n)(x))
+    with pytest.raises(ValueError):
+        highest_weight_projector(g, 5, lowering=chain[:4])
+    with pytest.raises(ValueError):
+        highest_weight_projector(make_path(11), 3, lowering=chain)
 
 
 @pytest.mark.parametrize("V", [14, 16])
