@@ -18,7 +18,6 @@ from .graph import (
 from .sector import (
     FunctionSpaceIndex,
     MagnonBasis,
-    SparseSymOp,
     casimir_magnon,
     contraction_T_box,
     free_laplacian,

@@ -97,8 +97,8 @@ def _deficit_operators(d, N, n):
     spec = lambda_spec(d, N)
     box = make_box(d, spec.L_plus)
     return (spec.L_plus, box.vertex_count,
-            contraction_T_box(d, N, n).to_csr(),
-            free_laplacian(box, n).to_csr())
+            contraction_T_box(d, N, n),
+            free_laplacian(box, n))
 
 
 def contraction_deficit(d, N, n, F):
@@ -228,7 +228,7 @@ def extension_energy_ratio(d, N, n):
     bound's non-constructive constant.
     """
     lam = make_lambda(d, N)
-    H = hamiltonian_magnon(lam, n).to_csr()
+    H = hamiltonian_magnon(lam, n)
     basis = highest_weight_basis(lam, n)
     small = basis.T @ H @ basis
     vals, vecs = np.linalg.eigh(small)

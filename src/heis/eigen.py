@@ -12,7 +12,6 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator
 
 from .errors import ConvergenceError, LabelingError, NumericalError, SizeBudgetError
 from .sector import (
-    SparseSymOp,
     casimir_magnon,
     check_sector_budget,
     hamiltonian_magnon,
@@ -82,8 +81,6 @@ def degenerate_runs(values, tol=DEGENERACY_TOL):
 
 
 def _as_csr(op):
-    if isinstance(op, SparseSymOp):
-        return op.to_csr()
     if sp.issparse(op):
         return op.tocsr()
     return sp.csr_matrix(np.asarray(op, dtype=float))
@@ -267,7 +264,7 @@ def label_spins(g, n, eig, tol=1e-8):
     V = g.vertex_count
     values = eig.values
     vectors = eig.vectors.copy()
-    CV = casimir_magnon(g, n).to_csr() @ vectors
+    CV = casimir_magnon(g, n) @ vectors
     labels = np.empty(len(values), dtype=int)
     for i, j in degenerate_runs(values):
         W = vectors[:, i:j]
@@ -304,7 +301,7 @@ def highest_weight_levels(g, n):
     residual ||Hy - Ey|| / ||y|| exceeds ``RESIDUAL_TOL``.  The budgets are
     the caller's to check (see :func:`labeled_spectra`).
     """
-    H = hamiltonian_magnon(g, n).to_csr()
+    H = hamiltonian_magnon(g, n)
     B = valence_bond_basis(g.vertex_count, n)
     HB = (H @ B).tocsc()                # B.T is CSC: B.T @ HB stays in one format
     _, X = scipy.linalg.eigh((B.T @ HB).toarray(), (B.T @ B).toarray())

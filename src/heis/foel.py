@@ -130,7 +130,7 @@ def _lowest_level(g, n, method, tol, seed, vector, lowering=None):
         return math.inf, None
     if n == 0:
         return 0.0, np.ones(1)
-    H = hamiltonian_magnon(g, n).to_csr()
+    H = hamiltonian_magnon(g, n)
     project = highest_weight_projector(g, n, lowering=lowering)
     # at n = 1 the start would be the mode itself, found by a dense solve as
     # large as the one it would replace
@@ -145,7 +145,7 @@ def _spin_wave_state(g, n):
     one-magnon H on the complement of the constant mode (energy 0).  At
     large L the low levels of spin deviate n are close to n magnons in that
     mode."""
-    one = hamiltonian_magnon(g, 1).to_csr()
+    one = hamiltonian_magnon(g, 1)
     _, phi = lowest_eig(lambda x: one @ x, lambda x: x - x.mean(axis=0), g.vertex_count,
                         method="dense", tol=None, seed=None)
     return product_state(phi, n)
@@ -280,7 +280,7 @@ def dilute_extend(prev, next_graph, n, tol=ENERGY_TOL, method="auto", seed=0, *,
                               lowering=lowering), J
 
     increments = {edge: target - start for edge, start, target in data}
-    D = hamiltonian_magnon(next_graph.with_couplings(increments), n).to_csr()
+    D = hamiltonian_magnon(next_graph.with_couplings(increments), n)
     t = 1.0
     e, psi, J = energy_at(t)
     while True:

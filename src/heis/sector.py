@@ -1,5 +1,8 @@
 """Magnon-sector bases and the sparse operators acting on them.
 
+Every operator builder returns a canonical ``scipy.sparse.csr_matrix`` with
+no stored zeros.
+
 The n-magnon sector of a graph with V vertices is spanned by the states
 obtained from the all-up product state by flipping the spins on a size-n
 vertex subset X.  These states are orthonormal, so the sector is identified
@@ -13,7 +16,6 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,7 +34,7 @@ class MagnonBasis:
 
     Uses the combinatorial number system: a subset with ascending elements
     c_0 < c_1 < ... ranks to sum of C(c_i, i+1), which enumerates subsets in
-    colexicographic order with O(n) rank/unrank and no tables.
+    colexicographic order.  Subsets and ranks are built as whole arrays.
     """
 
     def __init__(self, vertex_count, n):
@@ -41,30 +43,6 @@ class MagnonBasis:
         self.vertex_count = vertex_count
         self.n = n
         self.dim = math.comb(vertex_count, n)
-
-    def rank(self, subset):
-        c = sorted(subset)
-        if len(c) != self.n:
-            raise ValueError(f"subset size {len(c)} != {self.n}")
-        return sum(math.comb(v, i + 1) for i, v in enumerate(c))
-
-    def unrank(self, index):
-        if not 0 <= index < self.dim:
-            raise ValueError(f"rank {index} out of range")
-        out = []
-        r = index
-        for i in range(self.n, 0, -1):
-            # largest c with comb(c, i) <= r; search down from previous element
-            c = out[-1] - 1 if out else self.vertex_count - 1
-            while math.comb(c, i) > r:
-                c -= 1
-            out.append(c)
-            r -= math.comb(c, i)
-        return tuple(reversed(out))
-
-    def subsets(self):
-        """All subsets in rank order."""
-        return (self.unrank(i) for i in range(self.dim))
 
     def array(self):
         """All subsets in rank order, as a (dim, n) int64 array of ascending rows.
@@ -126,78 +104,8 @@ def product_state(phi, n):
     return s
 
 
-@dataclass
-class SparseSymOp:
-    """Sparse operator in coordinate format.
-
-    Symmetric operators store each unordered entry pair once (row <= col);
-    ``to_csr`` mirrors the strict upper triangle.  Rectangular operators set
-    ``symmetric=False`` and store entries verbatim.
-    """
-
-    shape: tuple
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    symmetric: bool = True
-    _csr: object = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.int64)
-        self.cols = np.asarray(self.cols, dtype=np.int64)
-        self.vals = np.asarray(self.vals, dtype=np.float64)
-        if self.symmetric:
-            if self.shape[0] != self.shape[1]:
-                raise ValueError("symmetric operator must be square")
-            if np.any(self.rows > self.cols):
-                raise ValueError("symmetric storage requires row <= col")
-
-    @property
-    def dim(self):
-        if self.shape[0] != self.shape[1]:
-            raise ValueError("dim is only defined for square operators")
-        return self.shape[0]
-
-    def to_csr(self):
-        if self._csr is None:
-            m = sp.coo_matrix((self.vals, (self.rows, self.cols)), shape=self.shape)
-            if self.symmetric:
-                off = self.rows != self.cols
-                m = m + sp.coo_matrix(
-                    (self.vals[off], (self.cols[off], self.rows[off])), shape=self.shape
-                )
-            self._csr = m.tocsr()
-        return self._csr
-
-    def to_dense(self):
-        return self.to_csr().toarray()
-
-    def norm_inf(self):
-        m = self.to_csr()
-        return float(np.max(np.abs(m).sum(axis=1))) if m.nnz else 0.0
-
-    @classmethod
-    def from_scipy(cls, mat, symmetric):
-        coo = sp.coo_matrix(mat)
-        coo.sum_duplicates()
-        r, c, v = coo.row, coo.col, coo.data
-        if symmetric:
-            keep = r <= c
-            r, c, v = r[keep], c[keep], v[keep]
-        return cls(shape=coo.shape, rows=r, cols=c, vals=v, symmetric=symmetric)
-
-    @classmethod
-    def zero(cls, dim):
-        e = np.empty(0)
-        return cls(shape=(dim, dim), rows=e, cols=e, vals=e, symmetric=True)
-
-
 class FunctionSpaceIndex:
-    """Row-major bijection between {0..V^n-1} and tuples in V^n.
-
-    Also provides the deleted-diagonal predicate: a tuple is diagonal when
-    two of its coordinates coincide.
-    """
+    """Row-major bijection between {0..V^n-1} and tuples in V^n."""
 
     def __init__(self, vertex_count, n):
         self.vertex_count = vertex_count
@@ -213,19 +121,6 @@ class FunctionSpaceIndex:
                 raise ValueError(f"vertex index {x} out of range")
             idx = idx * self.vertex_count + x
         return idx
-
-    def decode(self, index):
-        out = []
-        for _ in range(self.n):
-            index, x = divmod(index, self.vertex_count)
-            out.append(x)
-        return tuple(reversed(out))
-
-    def in_deleted_diagonal(self, tup):
-        return len(set(tup)) < len(tup)
-
-    def tuples(self):
-        return itertools.product(range(self.vertex_count), repeat=self.n)
 
 
 def _insertions(vertex_count, n):
@@ -265,16 +160,24 @@ def hamiltonian_magnon(g, n):
     In the flipped-subset basis the matrix is the graph Laplacian (with the
     1/2 convention) of the hard-core hopping graph: the diagonal entry of a
     subset X is half the total coupling crossing the boundary of X, and each
-    single-magnon hop along an edge of coupling J contributes -J/2.
+    single-magnon hop along an edge of coupling J contributes -J/2.  Hops
+    along zero couplings and zero diagonal entries are not stored.  Raises
+    :class:`SizeBudgetError` when C(V, n) or C(V, n-1) exceeds the budget.
+    """
+    if n == 0:
+        return sp.csr_matrix((1, 1))
+    # the build's tables are freed on its return, before the conversion allocates
+    return _symmetric_csr(*_hamiltonian_upper(g, n))
+
+
+def _hamiltonian_upper(g, n):
+    """(dim, rows, cols, vals) of H's nonzero diagonal and upper-triangle hops.
 
     A hop along the edge x < y joins Z + {x} and Z + {y}, two insertions
     into an (n-1)-subset Z free of both; Z + {x} ranks lower in colex order,
-    so the stored pairs are the upper triangle.  Raises
-    :class:`SizeBudgetError` when C(V, n) or C(V, n-1) exceeds the budget.
+    so the hops are the upper triangle.
     """
     V = g.vertex_count
-    if n == 0:
-        return SparseSymOp.zero(1)
     walk = _insertions(V, n)                # checks both budgets before `into` exists
     # into[x, j]: the rank of Z_j + {x}, or -1 when x is in Z_j
     into = np.full((V, math.comb(V, n - 1)), -1, dtype=np.int64)
@@ -296,9 +199,19 @@ def hamiltonian_magnon(g, n):
     rows.append(index)
     cols.append(index)
     vals.append(diag[index])
-    return SparseSymOp(shape=(len(diag), len(diag)), rows=np.concatenate(rows),
-                       cols=np.concatenate(cols), vals=np.concatenate(vals),
-                       symmetric=True)
+    return len(diag), np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def _symmetric_csr(dim, rows, cols, vals):
+    """CSR of the symmetric matrix with the given upper-triangle COO entries.
+
+    The strict upper triangle is mirrored as a second COO matrix, and the
+    CSR sum of the two drops the zeros they store.
+    """
+    upper = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim))
+    off = rows != cols
+    return (upper + sp.coo_matrix((vals[off], (cols[off], rows[off])),
+                                  shape=(dim, dim))).tocsr()
 
 
 def lowering_matrix(g, n):
@@ -311,8 +224,8 @@ def lowering_matrix(g, n):
     if not 1 <= n <= V:
         raise ValueError(f"magnon number {n} out of range")
     cols, rows = (np.concatenate(a) for a in zip(*_insertions(V, n)))
-    return SparseSymOp(shape=(math.comb(V, n), math.comb(V, n - 1)), rows=rows, cols=cols,
-                       vals=np.ones(len(rows)), symmetric=False)
+    return sp.coo_matrix((np.ones(len(rows)), (rows, cols)),
+                         shape=(math.comb(V, n), math.comb(V, n - 1))).tocsr()
 
 
 def lowering_chain(g, n):
@@ -321,7 +234,7 @@ def lowering_chain(g, n):
     Built largest first, so each build's temporaries sit beside the smaller
     matrices only.  They depend on the vertex count alone.
     """
-    return [lowering_matrix(g, k).to_csr() for k in range(n, 0, -1)][::-1]
+    return [lowering_matrix(g, k) for k in range(n, 0, -1)][::-1]
 
 
 def casimir_magnon(g, n):
@@ -338,9 +251,11 @@ def casimir_magnon(g, n):
     M = 0.5 * V - n
     base = (M * M + M) * sp.identity(dim, format="csr")
     if n == 0:
-        return SparseSymOp.from_scipy(base, symmetric=True)
-    low = lowering_matrix(g, n).to_csr()
-    return SparseSymOp.from_scipy(base + low @ low.T, symmetric=True)
+        return base
+    low = lowering_matrix(g, n)
+    cas = base + low @ low.T
+    cas.sort_indices()                  # the sparse product leaves rows unsorted
+    return cas
 
 
 def highest_weight_basis(g, n):
@@ -466,13 +381,13 @@ def free_laplacian(g, n):
     V = g.vertex_count
     if V ** n > FUNCTION_SPACE_BUDGET:
         raise SizeBudgetError(f"|V|^n = {V ** n} exceeds function-space budget")
-    one = hamiltonian_magnon(g, 1).to_csr()     # the one-particle Laplacian
+    one = hamiltonian_magnon(g, 1)              # the one-particle Laplacian
     total = sp.csr_matrix((V ** n, V ** n))
     for k in range(n):
         left = sp.identity(V ** k, format="csr")
         right = sp.identity(V ** (n - k - 1), format="csr")
         total = total + sp.kron(sp.kron(left, one), right, format="csr")
-    return SparseSymOp.from_scipy(total, symmetric=True)
+    return total
 
 
 def _sqrt_factorial_scales(n):
@@ -502,8 +417,8 @@ def _contraction(basis, ids, size):
     cols = (tuples @ size ** np.arange(n - 1, -1, -1, dtype=np.int64)).ravel()
     rows = np.repeat(np.arange(basis.dim), len(perms))
     scale, _ = _sqrt_factorial_scales(n)
-    return SparseSymOp(shape=(basis.dim, findex.dim), rows=rows, cols=cols,
-                       vals=np.full(len(rows), scale), symmetric=False)
+    return sp.coo_matrix((np.full(len(rows), scale), (rows, cols)),
+                         shape=(basis.dim, findex.dim)).tocsr()
 
 
 def contraction_T_box(d, N, n):

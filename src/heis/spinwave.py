@@ -164,7 +164,7 @@ def _residual(state):
     """:func:`residual` of a trial state that is already built."""
     spec = lambda_spec(state.d, state.N)
     g = make_lambda(state.d, state.N)
-    H = hamiltonian_magnon(g, state.n).to_csr()
+    H = hamiltonian_magnon(g, state.n)
     m = sum(c * c for k in state.modes for c in k)
     psi = state.coefficients
     lhs = (spec.L ** 2 / GAP_SCALE) * (H @ psi) - m * psi

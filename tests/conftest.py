@@ -6,10 +6,11 @@ flipped down).  They share no code with the sector-basis builders they
 check.
 """
 
+import itertools
+import math
+
 import numpy as np
 import pytest
-
-from heis.sector import MagnonBasis
 
 
 def product_hamiltonian(g):
@@ -47,10 +48,36 @@ def product_casimir(V):
     return np.diag(s3 ** 2) + 0.5 * (sp @ sm + sm @ sp)
 
 
+def colex(V, n):
+    """The size-n subsets of range(V) as ascending tuples, in colex order:
+    sorted by their largest element first."""
+    return sorted(itertools.combinations(range(V), n), key=lambda X: X[::-1])
+
+
+def colex_rank(subset):
+    """Position of a subset in :func:`colex` order, by the combinatorial
+    number system: ascending c_0 < c_1 < ... rank to sum of C(c_i, i+1)."""
+    return sum(math.comb(v, i + 1) for i, v in enumerate(sorted(subset)))
+
+
+def colex_unrank(index, V, n):
+    """The ascending n-subset of range(V) at position ``index`` in colex order."""
+    if not 0 <= index < math.comb(V, n):
+        raise ValueError(f"rank {index} out of range")
+    out = []
+    for i in range(n, 0, -1):
+        # largest c with C(c, i) <= index; search down from the previous element
+        c = out[-1] - 1 if out else V - 1
+        while math.comb(c, i) > index:
+            c -= 1
+        out.append(c)
+        index -= math.comb(c, i)
+    return tuple(reversed(out))
+
+
 def sector_masks(V, n):
     """Bitmasks of the n-magnon basis states in rank order."""
-    basis = MagnonBasis(V, n)
-    return [sum(1 << x for x in basis.unrank(i)) for i in range(basis.dim)]
+    return [sum(1 << x for x in X) for X in colex(V, n)]
 
 
 def project_sector(mat, V, n, m=None):

@@ -211,7 +211,7 @@ def test_criterion_07_bose_gas_exactness():
             assert len(occs) == math.comb(L ** d + n - 1, n)
             B = np.column_stack([bose_basis(d, L, nu) for nu in occs])
             assert np.max(np.abs(B.T @ B - np.eye(len(occs)))) <= 1e-10
-            h = free_laplacian(make_box(d, L), n).to_csr()
+            h = free_laplacian(make_box(d, L), n)
             for i, nu in enumerate(occs):
                 lam = bose_energy(d, L, nu)
                 assert np.max(np.abs(h @ B[:, i] - lam * B[:, i])) <= 1e-10
@@ -253,7 +253,7 @@ def test_criterion_10_extension_contract():
     with timer(120.0) as t:
         d, n = 2, 2
         geo = _geometry(d, 8, n)
-        T = contraction_T_box(d, 8, n).to_csr()
+        T = contraction_T_box(d, 8, n)
         for i in range(geo.basis.dim):
             e = np.zeros(geo.basis.dim)
             e[i] = 1.0

@@ -196,7 +196,7 @@ def test_geometry_matches_l1_oracle(d, N, n):
 def test_extension_roundtrip_exact_basis_vectors():
     d, N, n = 2, 8, 2
     geo = _geometry(d, N, n)
-    T = contraction_T_box(d, N, n).to_csr()
+    T = contraction_T_box(d, N, n)
     for i in range(geo.basis.dim):
         e = np.zeros(geo.basis.dim)
         e[i] = 1.0
@@ -206,7 +206,7 @@ def test_extension_roundtrip_exact_basis_vectors():
 def test_extension_roundtrip_exact_n1():
     d, N, n = 2, 8, 1
     geo = _geometry(d, N, n)
-    T = contraction_T_box(d, N, n).to_csr()
+    T = contraction_T_box(d, N, n)
     for i in range(geo.basis.dim):
         e = np.zeros(geo.basis.dim)
         e[i] = 1.0
@@ -216,7 +216,7 @@ def test_extension_roundtrip_exact_n1():
 def test_extension_roundtrip_random(rng):
     d, N, n = 2, 8, 2
     geo = _geometry(d, N, n)
-    T = contraction_T_box(d, N, n).to_csr()
+    T = contraction_T_box(d, N, n)
     psi = rng.standard_normal(geo.basis.dim)
     assert np.max(np.abs(T @ extension_Xi(d, N, n, psi) - psi)) < 1e-14
 
@@ -261,8 +261,8 @@ def test_extension_dominates_hamiltonian_energy():
     # <Xi psi, h Xi psi> >= <psi, H psi>: the contraction only loses energy
     d, N, n = 2, 8, 2
     g = make_lambda(d, N)
-    H = hamiltonian_magnon(g, n).to_csr()
-    h = free_laplacian(make_box(d, lambda_spec(d, N).L_plus), n).to_csr()
+    H = hamiltonian_magnon(g, n)
+    h = free_laplacian(make_box(d, lambda_spec(d, N).L_plus), n)
     rng = np.random.default_rng(5)
     for _ in range(10):
         psi = rng.standard_normal(H.shape[0])

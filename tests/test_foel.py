@@ -47,7 +47,7 @@ def test_path_one_magnon_levels_closed_form():
     for L in range(2, 41):
         g = make_path(L)
         exact = 1 - np.cos(np.pi * np.arange(L) / L)
-        levels = np.linalg.eigvalsh(hamiltonian_magnon(g, 1).to_dense())
+        levels = np.linalg.eigvalsh(hamiltonian_magnon(g, 1).toarray())
         assert np.allclose(levels, np.sort(exact), rtol=0, atol=1e-13)
         assert energy_level(g, 1) == pytest.approx(exact[1], abs=1e-13)
 
@@ -259,8 +259,8 @@ def test_energy_level_matches_spectral_count_jump():
     # independent route: the first dimension jump between consecutive sectors
     g = make_lambda(2, 7)
     for n in (1, 2, 3):
-        Hn = hamiltonian_magnon(g, n).to_dense()
-        Hm = hamiltonian_magnon(g, n - 1).to_dense()
+        Hn = hamiltonian_magnon(g, n).toarray()
+        Hm = hamiltonian_magnon(g, n - 1).toarray()
         vals = np.linalg.eigvalsh(Hn)
         jump = next(
             float(E) for E in vals

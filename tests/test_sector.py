@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from heis.errors import SizeBudgetError
@@ -12,7 +13,6 @@ from heis.sector import (
     SECTOR_BUDGET,
     FunctionSpaceIndex,
     MagnonBasis,
-    SparseSymOp,
     casimir_magnon,
     contraction_T_box,
     free_laplacian,
@@ -25,6 +25,9 @@ from heis.sector import (
     valence_bond_basis,
 )
 from conftest import (
+    colex,
+    colex_rank,
+    colex_unrank,
     lower_function,
     product_casimir,
     product_hamiltonian,
@@ -41,12 +44,17 @@ def test_rank_unrank_round_trip(V, n):
     if n > V:
         return
     basis = MagnonBasis(V, n)
-    for i in range(basis.dim):
-        assert basis.rank(basis.unrank(i)) == i
+    subsets = colex(V, n)
+    assert len(subsets) == basis.dim
+    for i, X in enumerate(subsets):
+        assert colex_rank(X) == i
+        assert colex_unrank(i, V, n) == X
     sub = basis.array()
     assert sub.shape == (basis.dim, n)
-    assert [tuple(row) for row in sub] == list(basis.subsets())
+    assert [tuple(row) for row in sub] == subsets
     assert np.array_equal(basis.rank_array(sub), np.arange(basis.dim))
+    rows = sub[::-1]
+    assert basis.rank_array(rows).tolist() == [colex_rank(X) for X in rows.tolist()]
 
 
 def test_basis_dimension():
@@ -57,30 +65,29 @@ def test_basis_dimension():
 
 
 def test_basis_enumerates_all_subsets():
-    basis = MagnonBasis(6, 3)
-    seen = set(basis.subsets())
+    seen = {tuple(X) for X in MagnonBasis(6, 3).array().tolist()}
     assert seen == set(itertools.combinations(range(6), 3))
 
 
 # ---------------------------------------------------------------- hamiltonian
 
 def test_two_site_hamiltonian_exact():
-    H = hamiltonian_magnon(make_box(1, 2), 1).to_dense()
+    H = hamiltonian_magnon(make_box(1, 2), 1).toarray()
     assert np.array_equal(H, np.array([[0.5, -0.5], [-0.5, 0.5]]))
     assert np.allclose(np.linalg.eigvalsh(H), [0.0, 1.0], atol=1e-14)
 
 
 def test_grid_single_magnon_spectrum():
     # half the standard 3x3 grid Laplacian spectrum
-    H = hamiltonian_magnon(make_box(2, 3), 1).to_dense()
+    H = hamiltonian_magnon(make_box(2, 3), 1).toarray()
     expected = [0.0, 0.5, 0.5, 1.0, 1.5, 1.5, 2.0, 2.0, 3.0]
     assert np.allclose(np.linalg.eigvalsh(H), expected, atol=1e-10)
 
 
 def test_empty_sector_is_zero_operator():
     H = hamiltonian_magnon(make_ring(4), 0)
-    assert H.dim == 1
-    assert np.array_equal(H.to_dense(), [[0.0]])
+    assert H.shape == (1, 1)
+    assert np.array_equal(H.toarray(), [[0.0]])
 
 
 @pytest.mark.parametrize("g", [
@@ -94,7 +101,7 @@ def test_hamiltonian_matches_product_space_oracle(g):
     V = g.vertex_count
     full = product_hamiltonian(g)
     for n in range(V + 1):
-        got = hamiltonian_magnon(g, n).to_dense()
+        got = hamiltonian_magnon(g, n).toarray()
         want = project_sector(full, V, n)
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -111,7 +118,7 @@ def test_product_hamiltonian_preserves_sectors():
 def test_hamiltonian_ten_site_spot_check():
     g = make_path(10)
     full = product_hamiltonian(g)
-    got = hamiltonian_magnon(g, 2).to_dense()
+    got = hamiltonian_magnon(g, 2).toarray()
     assert np.max(np.abs(got - project_sector(full, 10, 2))) < 1e-12
 
 
@@ -125,10 +132,10 @@ def test_builders_match_product_space_oracle_up_to_ten_sites(g):
     full = product_hamiltonian(g)
     _, sm = product_spin_ops(V)
     for n in range(V + 1):
-        got = hamiltonian_magnon(g, n).to_dense()
+        got = hamiltonian_magnon(g, n).toarray()
         assert np.max(np.abs(got - project_sector(full, V, n))) < 1e-12
         if n:
-            low = lowering_matrix(g, n).to_dense()
+            low = lowering_matrix(g, n).toarray()
             assert np.array_equal(low, project_sector(sm, V, n, n - 1))
 
 
@@ -141,11 +148,7 @@ def _reference_entries(g, n):
     for e, (u, v, _) in enumerate(edges):
         at[u].append(e)
         at[v].append(e)
-
-    def colex(k):
-        return sorted(itertools.combinations(range(V), k), key=lambda c: c[::-1])
-
-    rank = {frozenset(X): i for i, X in enumerate(colex(n))}
+    rank = {frozenset(X): i for i, X in enumerate(colex(V, n))}
     H = {}
     for inX, i in rank.items():
         # the edges touching X, in edge order (the order the diagonal sums in)
@@ -155,7 +158,7 @@ def _reference_entries(g, n):
                 H[i, i] = H.get((i, i), 0.0) + 0.5 * J
                 H[i, rank[inX ^ {u, v}]] = -0.5 * J
     low = {}
-    for j, X in enumerate(colex(n - 1)):
+    for j, X in enumerate(colex(V, n - 1)):
         for x in set(range(V)) - set(X):
             low[rank[frozenset(X + (x,))], j] = 1.0
     return H, low
@@ -166,28 +169,27 @@ def test_builders_match_reference_loop_at_64_sites():
     g = make_lambda(2, 64)
     g = g.with_couplings({e: 1.0 + 0.01 * k for k, e in enumerate(g.edges)})
     H_ref, low_ref = _reference_entries(g, 2)
-    H = hamiltonian_magnon(g, 2).to_csr().todok()
-    low = lowering_matrix(g, 2).to_csr().todok()
+    H = hamiltonian_magnon(g, 2).todok()
+    low = lowering_matrix(g, 2).todok()
     assert dict(H.items()) == H_ref
     assert dict(low.items()) == low_ref
 
 
+def _stored_entries(op):
+    """{(row, col): value} of every entry a sparse matrix stores."""
+    coo = op.tocoo()
+    got = dict(zip(zip(coo.row.tolist(), coo.col.tolist()), coo.data.tolist()))
+    assert len(got) == coo.nnz
+    return got
+
+
 def _assert_builders_match_reference_loop(g, n):
     """The stored entries of H (both triangles) and S^- equal the reference
-    loop's, to the sign of zero.  H stores no zero diagonal entry."""
+    loop's nonzero entries exactly; neither stores a zero."""
     H_ref, low_ref = _reference_entries(g, n)
-    H, low = hamiltonian_magnon(g, n), lowering_matrix(g, n)
-    upper = list(zip(H.rows.tolist(), H.cols.tolist()))
-    got = dict(zip(upper, H.vals.tolist()))
-    assert len(got) == len(upper)
-    got.update(zip(((c, r) for r, c in upper), H.vals.tolist()))
-    assert got == {k: v for k, v in H_ref.items() if k[0] != k[1] or v != 0.0}
-    for k in np.flatnonzero(H.vals == 0.0):
-        key = upper[k]
-        assert np.signbit(H.vals[k]) == (math.copysign(1.0, H_ref[key]) < 0)
-    low_got = dict(zip(zip(low.rows.tolist(), low.cols.tolist()), low.vals.tolist()))
-    assert len(low_got) == len(low.rows)
-    assert low_got == low_ref
+    assert _stored_entries(hamiltonian_magnon(g, n)) == {
+        k: v for k, v in H_ref.items() if v != 0.0}
+    assert _stored_entries(lowering_matrix(g, n)) == low_ref
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -203,7 +205,7 @@ def test_builders_match_reference_loop_at_equator(g):
 
 def test_builders_match_reference_loop_with_zero_couplings():
     # the dilution at t = 0: the newest edges carry coupling 0, and their hops
-    # are still stored, as explicit -0.0 entries
+    # are not stored
     g = make_lambda(2, 10)
     older = make_lambda(2, 9).edge_keys()
     keys = list(g.edge_keys())
@@ -212,9 +214,10 @@ def test_builders_match_reference_loop_with_zero_couplings():
                           for k, e in enumerate(keys)})
     for n in range(1, g.vertex_count + 1):
         _assert_builders_match_reference_loop(g, n)
-    H = hamiltonian_magnon(g, 2)
-    zero_hops = H.vals[(H.rows != H.cols) & (H.vals == 0.0)]
-    assert len(zero_hops) and np.all(np.signbit(zero_hops))
+    H_ref, _ = _reference_entries(g, 2)
+    zero_hops = {k for k, v in H_ref.items() if k[0] != k[1] and v == 0.0}
+    assert zero_hops
+    assert not zero_hops & _stored_entries(hamiltonian_magnon(g, 2)).keys()
 
 
 def test_builders_match_reference_loop_on_sparse_vertex_ids():
@@ -223,6 +226,57 @@ def test_builders_match_reference_loop_on_sparse_vertex_ids():
               couplings=(1.0, 0.5, 2.0, 0.25, 0.0, 1.5, 0.3, 0.75))
     for n in range(1, g.vertex_count + 1):
         _assert_builders_match_reference_loop(g, n)
+
+
+def _assert_canonical_csr(op):
+    """A CSR matrix with strictly ascending column indices in every row and
+    no stored zero."""
+    assert isinstance(op, sp.csr_matrix)
+    assert op.has_canonical_format
+    rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
+    assert np.all(np.diff(rows * op.shape[1] + op.indices) > 0)
+    assert np.all(op.data != 0)
+
+
+def _dilution_start(d, N):
+    # lambda(d, N) with the edges new since lambda(d, N - 1) at coupling 0
+    g = make_lambda(d, N)
+    older = make_lambda(d, N - 1).edge_keys()
+    return g.with_couplings({e: 1.0 if e in older else 0.0 for e in g.edge_keys()})
+
+
+@pytest.mark.parametrize(
+    "g", [make_path(7), make_ring(6), make_lambda(2, 9), _dilution_start(2, 9)],
+    ids=["path7", "ring6", "lambda2_9", "lambda2_9_diluted"])
+def test_builders_return_canonical_csr(g):
+    V = g.vertex_count
+    for n in range(V + 1):
+        for build in (hamiltonian_magnon, casimir_magnon):
+            op = build(g, n)
+            _assert_canonical_csr(op)
+            assert op.shape == (math.comb(V, n),) * 2
+            assert (op != op.T).nnz == 0
+        if n:
+            _assert_canonical_csr(lowering_matrix(g, n))
+    for n in (1, 2):
+        op = free_laplacian(g, n)
+        _assert_canonical_csr(op)
+        assert (op != op.T).nnz == 0
+    zero = hamiltonian_magnon(g, 0)
+    _assert_canonical_csr(zero)
+    assert zero.shape == (1, 1) and zero.nnz == 0
+
+
+def test_hamiltonian_build_peak_is_a_few_times_its_csr():
+    # the sectors of `heis spinwave --N 64` with three modes: dim 41664
+    g = make_lambda(2, 64)
+    tracemalloc.start()
+    try:
+        H = hamiltonian_magnon(g, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * (H.data.nbytes + H.indices.nbytes + H.indptr.nbytes)
 
 
 def test_sector_budget_fails_fast():
@@ -277,19 +331,20 @@ def test_hamiltonian_on_long_path_allocates_no_vertex_by_sector_table():
         tracemalloc.stop()
     assert peak < 5 << 20
     # the path Laplacian: diagonal 1/2 at the ends and 1 inside, hops -1/2
-    on = H.rows == H.cols
-    assert np.array_equal(H.rows[on], np.arange(V))
-    assert np.array_equal(H.vals[on], np.r_[0.5, np.ones(V - 2), 0.5])
-    assert np.array_equal(H.rows[~on], np.arange(V - 1))
-    assert np.array_equal(H.cols[~on], np.arange(1, V))
-    assert np.all(H.vals[~on] == -0.5)
+    assert H.nnz == 3 * V - 2
+    assert np.array_equal(H.diagonal(), np.r_[0.5, np.ones(V - 2), 0.5])
+    upper = sp.triu(H, k=1).tocoo()
+    assert np.array_equal(upper.row, np.arange(V - 1))
+    assert np.array_equal(upper.col, np.arange(1, V))
+    assert np.all(upper.data == -0.5)
+    assert (H != H.T).nnz == 0
 
 
 def test_hamiltonian_sign_structure():
-    op = hamiltonian_magnon(make_lambda(2, 7), 3)
-    diag = op.rows == op.cols
-    assert np.all(op.vals[diag] >= 0)
-    assert np.all(op.vals[~diag] <= 0)
+    op = hamiltonian_magnon(make_lambda(2, 7), 3).tocoo()
+    diag = op.row == op.col
+    assert np.all(op.data[diag] >= 0)
+    assert np.all(op.data[~diag] <= 0)
 
 
 def test_hamiltonian_bad_sector():
@@ -302,20 +357,20 @@ def test_edge_monotonicity_psd():
     g = make_path(5)
     ring = make_ring(5)  # path + closing edge
     for n in range(1, 3):
-        a = hamiltonian_magnon(g, n).to_dense()
-        b = hamiltonian_magnon(ring, n).to_dense()
+        a = hamiltonian_magnon(g, n).toarray()
+        b = hamiltonian_magnon(ring, n).toarray()
         assert np.linalg.eigvalsh(b - a)[0] >= -1e-10
     stronger = g.with_couplings({e: (2.0 if e == (1, 2) else 1.0) for e in g.edges})
     for n in range(1, 3):
-        a = hamiltonian_magnon(g, n).to_dense()
-        b = hamiltonian_magnon(stronger, n).to_dense()
+        a = hamiltonian_magnon(g, n).toarray()
+        b = hamiltonian_magnon(stronger, n).toarray()
         assert np.linalg.eigvalsh(b - a)[0] >= -1e-10
 
 
 # ---------------------------------------------------------------- lowering
 
 def test_lowering_two_site():
-    low = lowering_matrix(make_box(1, 2), 1).to_dense()
+    low = lowering_matrix(make_box(1, 2), 1).toarray()
     assert np.array_equal(low, [[1.0], [1.0]])
 
 
@@ -323,14 +378,14 @@ def test_lowering_matches_product_space_oracle():
     g = make_box(1, 5)
     _, sm = product_spin_ops(5)
     for n in range(1, 6):
-        got = lowering_matrix(g, n).to_dense()
+        got = lowering_matrix(g, n).toarray()
         want = sm[np.ix_(sector_masks(5, n), sector_masks(5, n - 1))]
         assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("V,n", [(6, 1), (6, 2), (6, 3), (7, 3)])
 def test_lowering_full_rank_below_equator(V, n):
-    low = lowering_matrix(make_path(V), n).to_dense()
+    low = lowering_matrix(make_path(V), n).toarray()
     assert np.linalg.matrix_rank(low, tol=1e-10) == math.comb(V, n - 1)
 
 
@@ -339,10 +394,10 @@ def test_commutation_on_sectors():
     V = 6
     g = make_path(V)
     for n in range(0, 3):
-        up = lowering_matrix(g, n + 1).to_csr()
+        up = lowering_matrix(g, n + 1)
         comm = (up.T @ up).toarray()
         if n > 0:
-            down = lowering_matrix(g, n).to_csr()
+            down = lowering_matrix(g, n)
             comm -= (down @ down.T).toarray()
         M = V / 2 - n
         assert np.max(np.abs(comm - 2 * M * np.eye(math.comb(V, n)))) < 1e-12
@@ -352,27 +407,27 @@ def test_hamiltonian_commutes_with_lowering():
     for g in (make_path(6), make_box(2, 2), make_ring(5)):
         V = g.vertex_count
         for n in range(1, V + 1):
-            Hn = hamiltonian_magnon(g, n).to_csr()
-            Hm = hamiltonian_magnon(g, n - 1).to_csr()
-            low = lowering_matrix(g, n).to_csr()
+            Hn = hamiltonian_magnon(g, n)
+            Hm = hamiltonian_magnon(g, n - 1)
+            low = lowering_matrix(g, n)
             assert abs(Hn @ low - low @ Hm).max() <= 1e-10
 
 
 # ---------------------------------------------------------------- casimir
 
 def test_casimir_two_site():
-    C = casimir_magnon(make_box(1, 2), 1).to_dense()
+    C = casimir_magnon(make_box(1, 2), 1).toarray()
     assert np.allclose(sorted(np.linalg.eigvalsh(C)), [0.0, 2.0], atol=1e-12)
 
 
 def test_casimir_top_sector():
-    C = casimir_magnon(make_box(1, 4), 0).to_dense()
+    C = casimir_magnon(make_box(1, 4), 0).toarray()
     s = 2.0
     assert np.allclose(C, [[s * (s + 1)]])
 
 
 def test_casimir_multiplicities_four_site():
-    C = casimir_magnon(make_box(1, 4), 2).to_dense()
+    C = casimir_magnon(make_box(1, 4), 2).toarray()
     vals = np.round(np.linalg.eigvalsh(C), 9)
     counts = {v: int(np.sum(vals == v)) for v in np.unique(vals)}
     assert counts == {0.0: 2, 2.0: 3, 6.0: 1}
@@ -382,7 +437,7 @@ def test_casimir_matches_product_space_oracle():
     g = make_ring(5)
     C_full = product_casimir(5)
     for n in range(6):
-        got = casimir_magnon(g, n).to_dense()
+        got = casimir_magnon(g, n).toarray()
         want = project_sector(C_full, 5, n)
         assert np.max(np.abs(got - want)) < 1e-11
 
@@ -390,8 +445,8 @@ def test_casimir_matches_product_space_oracle():
 def test_casimir_commutes_with_hamiltonian():
     for g in (make_path(7), make_lambda(2, 6)):
         for n in range(g.vertex_count + 1):
-            H = hamiltonian_magnon(g, n).to_csr()
-            C = casimir_magnon(g, n).to_csr()
+            H = hamiltonian_magnon(g, n)
+            C = casimir_magnon(g, n)
             assert abs(H @ C - C @ H).max() <= 1e-10
 
 
@@ -413,7 +468,7 @@ def test_highest_weight_orthogonal_to_lowered_states():
     g = make_path(6)
     for n in (1, 2, 3):
         basis = highest_weight_basis(g, n)
-        low = lowering_matrix(g, n).to_dense()
+        low = lowering_matrix(g, n).toarray()
         assert np.max(np.abs(basis.T @ low)) < 1e-10
         assert basis.shape[1] == math.comb(6, n) - math.comb(6, n - 1)
 
@@ -429,8 +484,8 @@ def test_highest_weight_projector_exact():
         V = g.vertex_count
         project = highest_weight_projector(g, n)
         P = project(np.eye(math.comb(V, n)))
-        H = hamiltonian_magnon(g, n).to_dense()
-        low = lowering_matrix(g, n).to_dense()
+        H = hamiltonian_magnon(g, n).toarray()
+        low = lowering_matrix(g, n).toarray()
         assert np.max(np.abs(P @ P - P)) <= 1e-12
         assert np.max(np.abs(project(low))) <= 1e-12
         assert np.linalg.matrix_rank(P, tol=1e-8) == math.comb(V, n) - math.comb(V, n - 1)
@@ -476,7 +531,7 @@ def test_highest_weight_projector_at_equator(V):
     # sector below it
     g, n = make_path(V), V // 2
     project = highest_weight_projector(g, n)
-    low = lowering_matrix(g, n).to_csr()
+    low = lowering_matrix(g, n)
     rng = np.random.default_rng(V)
     x = rng.standard_normal(math.comb(V, n))
     z = rng.standard_normal(math.comb(V, n - 1))
@@ -496,7 +551,7 @@ def test_valence_bond_basis_spans_highest_weight_space(V):
         assert np.allclose(B.multiply(B).sum(axis=0), 1.0, rtol=0, atol=1e-14)
         assert np.linalg.matrix_rank(B.toarray()) == dim
         if n:
-            raised = lowering_matrix(make_path(V), n).to_csr().T @ B
+            raised = lowering_matrix(make_path(V), n).T @ B
             assert np.abs(raised.toarray()).max() <= 1e-14
     assert valence_bond_basis(V, 0).toarray().tolist() == [[1.0]]
 
@@ -517,10 +572,10 @@ def _valence_bond_entries(V, n):
     A down set is a column when the stack scan finds an open up for every
     down; each down pairs with the nearest open up before it.
     """
-    colex = sorted(itertools.combinations(range(V), n), key=lambda c: c[::-1])
-    rank = {frozenset(X): i for i, X in enumerate(colex)}
+    subsets = colex(V, n)
+    rank = {frozenset(X): i for i, X in enumerate(subsets)}
     entries, col = {}, 0
-    for down in colex:
+    for down in subsets:
         stack, pairs = [], []
         for x in range(V):
             if x not in down:
@@ -561,7 +616,7 @@ def test_multiplet_dimension_identity():
 
 def test_free_laplacian_single_particle():
     g = make_box(2, 2)
-    one = free_laplacian(g, 1).to_dense()
+    one = free_laplacian(g, 1).toarray()
     lap = np.zeros((4, 4))
     for (u, v) in g.edges:
         lap[u, u] += 0.5
@@ -572,7 +627,7 @@ def test_free_laplacian_single_particle():
 
 
 def test_free_laplacian_row_sums_zero():
-    op = free_laplacian(make_path(2), 2).to_dense()
+    op = free_laplacian(make_path(2), 2).toarray()
     assert op.shape == (4, 4)
     assert np.allclose(op.sum(axis=1), 0.0, atol=1e-14)
 
@@ -580,10 +635,10 @@ def test_free_laplacian_row_sums_zero():
 def test_free_laplacian_commutes_with_permutation():
     V, n = 3, 2
     g = make_path(V)
-    op = free_laplacian(g, n).to_dense()
+    op = free_laplacian(g, n).toarray()
     findex = FunctionSpaceIndex(V, n)
     perm = np.zeros((9, 9))
-    for tup in findex.tuples():
+    for tup in itertools.product(range(V), repeat=n):
         perm[findex.encode(tup[::-1]), findex.encode(tup)] = 1.0
     assert np.max(np.abs(perm.T @ op @ perm - op)) == 0.0
 
@@ -593,33 +648,56 @@ def test_function_space_budget():
         free_laplacian(make_path(40), 5)
 
 
+def _decode(index, V, n):
+    """The tuple in V^n at a row-major index."""
+    out = []
+    for _ in range(n):
+        index, x = divmod(index, V)
+        out.append(x)
+    return tuple(reversed(out))
+
+
+def _in_deleted_diagonal(tup):
+    """A tuple is diagonal when two of its coordinates coincide."""
+    return len(set(tup)) < len(tup)
+
+
 def test_function_space_index_round_trip():
     findex = FunctionSpaceIndex(5, 3)
-    for i in range(findex.dim):
-        assert findex.encode(findex.decode(i)) == i
-    assert findex.in_deleted_diagonal((1, 2, 1))
-    assert not findex.in_deleted_diagonal((0, 2, 1))
+    assert findex.dim == 125
+    for i, tup in enumerate(itertools.product(range(5), repeat=3)):
+        assert _decode(i, 5, 3) == tup
+        assert findex.encode(tup) == i
+        assert findex.encode(_decode(i, 5, 3)) == i
+    assert _in_deleted_diagonal((1, 2, 1))
+    assert not _in_deleted_diagonal((0, 2, 1))
+    with pytest.raises(ValueError):
+        findex.encode((0, 5, 1))
 
 
 # ---------------------------------------------------------------- contraction
 
 def test_contraction_single_particle_is_identity():
-    T = contraction_T_box(1, 3, 1).to_dense()
+    T = contraction_T_box(1, 3, 1).toarray()
     assert np.array_equal(T, np.eye(3))
 
 
 def test_contraction_kills_diagonal():
     V, n = 3, 2
-    T = contraction_T_box(1, V, n).to_csr()
+    T = contraction_T_box(1, V, n)
     findex = FunctionSpaceIndex(V, n)
     F = np.zeros(findex.dim)
     F[findex.encode((1, 1))] = 1.0
     assert np.max(np.abs(T @ F)) == 0.0
+    # exactly the diagonal tuples have an empty column
+    hit = np.diff(T.tocsc().indptr) > 0
+    for tup in itertools.product(range(V), repeat=n):
+        assert hit[findex.encode(tup)] != _in_deleted_diagonal(tup)
 
 
 def test_contraction_isometry_on_symmetric_offdiagonal(rng):
     V, n = 4, 2
-    T = contraction_T_box(1, V, n).to_csr()
+    T = contraction_T_box(1, V, n)
     cube = rng.standard_normal((V, V))
     cube = cube + cube.T
     np.fill_diagonal(cube, 0.0)
@@ -629,7 +707,7 @@ def test_contraction_isometry_on_symmetric_offdiagonal(rng):
 
 def test_contraction_nonexpansive_on_anything(rng):
     V, n = 4, 2
-    T = contraction_T_box(1, V, n).to_dense()
+    T = contraction_T_box(1, V, n).toarray()
     s = np.linalg.svd(T, compute_uv=False)
     assert s[0] <= 1.0 + 1e-12
 
@@ -638,16 +716,16 @@ def test_contraction_dominates_sector_hamiltonian():
     # T h T* >= H on mag(n)
     for d, g in ((1, make_path(4)), (2, make_box(2, 2))):
         for n in (1, 2):
-            T = contraction_T_box(d, 4, n).to_csr()
-            h = free_laplacian(g, n).to_csr()
-            H = hamiltonian_magnon(g, n).to_dense()
+            T = contraction_T_box(d, 4, n)
+            h = free_laplacian(g, n)
+            H = hamiltonian_magnon(g, n).toarray()
             diff = (T @ h @ T.T).toarray() - H
             assert np.linalg.eigvalsh(diff)[0] >= -1e-10
 
 
 def test_contraction_box_restricts_to_lattice_points():
     # tuples touching the box corner outside the 8-point lattice graph act as zero
-    T = contraction_T_box(2, 8, 1).to_dense()
+    T = contraction_T_box(2, 8, 1).toarray()
     assert T.shape == (8, 9)
     corner = np.zeros(9)
     corner[8] = 1.0  # point (3,3), lexicographically last in the box
@@ -658,14 +736,13 @@ def _contraction_reference(ids, size, n):
     """Per-tuple loop: every ordering of every n-subset of sector vertices,
     each at the row-major index of its function-space coordinates."""
     V = len(ids)
-    basis = MagnonBasis(V, n)
-    T = np.zeros((basis.dim, size ** n))
+    T = np.zeros((math.comb(V, n), size ** n))
     for subset in itertools.combinations(range(V), n):
         for perm in itertools.permutations(subset):
             col = 0
             for v in perm:
                 col = col * size + ids[v]
-            T[basis.rank(subset), col] = math.sqrt(1.0 / math.factorial(n))
+            T[colex_rank(subset), col] = math.sqrt(1.0 / math.factorial(n))
     return T
 
 
@@ -673,7 +750,7 @@ def _contraction_reference(ids, size, n):
 def test_contraction_matches_reference_loop(g, n):
     # on a path (d = 1) the box is the graph itself: identity coordinates
     V = g.vertex_count
-    assert np.array_equal(contraction_T_box(1, V, n).to_dense(),
+    assert np.array_equal(contraction_T_box(1, V, n).toarray(),
                           _contraction_reference(range(V), V, n))
 
 
@@ -685,19 +762,21 @@ def test_contraction_box_matches_reference_loop(d, N, n):
     box = make_box(d, lambda_spec(d, N).L_plus)
     box_pos = {p: i for i, p in enumerate(box.points)}
     ids = [box_pos[p] for p in make_lambda(d, N).points]
-    assert np.array_equal(contraction_T_box(d, N, n).to_dense(),
-                          _contraction_reference(ids, box.vertex_count, n))
+    T = contraction_T_box(d, N, n)
+    _assert_canonical_csr(T)
+    assert np.array_equal(T.toarray(), _contraction_reference(ids, box.vertex_count, n))
 
 
 def test_contraction_zero_particles_is_unit():
-    assert np.array_equal(contraction_T_box(1, 3, 0).to_dense(), [[1.0]])
-    assert np.array_equal(contraction_T_box(2, 8, 0).to_dense(), [[1.0]])
+    _assert_canonical_csr(contraction_T_box(1, 3, 0))
+    assert np.array_equal(contraction_T_box(1, 3, 0).toarray(), [[1.0]])
+    assert np.array_equal(contraction_T_box(2, 8, 0).toarray(), [[1.0]])
 
 
 def test_lower_function_scalar_intertwines_with_contraction():
     g = make_path(4)
-    lhs = contraction_T_box(1, 4, 1).to_csr() @ lower_function(np.float64(2.5), 4)
-    rhs = lowering_matrix(g, 1).to_csr() @ (contraction_T_box(1, 4, 0).to_csr() @ [2.5])
+    lhs = contraction_T_box(1, 4, 1) @ lower_function(np.float64(2.5), 4)
+    rhs = lowering_matrix(g, 1) @ (contraction_T_box(1, 4, 0) @ [2.5])
     assert np.array_equal(lhs, rhs)
 
 
@@ -714,9 +793,9 @@ def test_lower_function_intertwines_with_contraction(rng):
     V, n = 4, 2
     g = make_path(V)
     F = rng.standard_normal((V,) * n)
-    Tn = contraction_T_box(1, V, n).to_csr()
-    Tn1 = contraction_T_box(1, V, n + 1).to_csr()
-    low = lowering_matrix(g, n + 1).to_csr()
+    Tn = contraction_T_box(1, V, n)
+    Tn1 = contraction_T_box(1, V, n + 1)
+    low = lowering_matrix(g, n + 1)
     lhs = Tn1 @ lower_function(F, V).ravel()
     # with orthonormal flipped states the function-space lowering carries
     # an extra sqrt(n+1) relative to the sector lowering operator
@@ -728,7 +807,7 @@ def test_lower_function_intertwines_with_contraction(rng):
 
 def _sector_union(g):
     """Ascending union of the spectra of mag(0), ..., mag(V)."""
-    return np.sort(np.concatenate([np.linalg.eigvalsh(hamiltonian_magnon(g, n).to_dense())
+    return np.sort(np.concatenate([np.linalg.eigvalsh(hamiltonian_magnon(g, n).toarray())
                                    for n in range(g.vertex_count + 1)]))
 
 
@@ -741,6 +820,6 @@ def test_assembled_two_site_spectrum():
 
 def test_assembled_dimension():
     g = make_path(5)
-    assert sum(hamiltonian_magnon(g, n).dim for n in range(6)) == 32
+    assert sum(hamiltonian_magnon(g, n).shape[0] for n in range(6)) == 32
     assert np.allclose(_sector_union(g), np.linalg.eigvalsh(product_hamiltonian(g)),
                        atol=1e-12)

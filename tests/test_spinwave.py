@@ -73,7 +73,7 @@ def test_spin_lowering_identity():
     g = make_box(1, L)
     st_n = trial_state(1, L, [(1,)])
     st_n1 = trial_state(1, L, [(1,), (0,)])
-    low = lowering_matrix(g, n + 1).to_csr()
+    low = lowering_matrix(g, n + 1)
     lhs = low @ st_n.coefficients
     rhs = L ** 0.5 / math.sqrt(n + 1) * st_n1.coefficients
     assert np.max(np.abs(lhs - rhs)) < 1e-12
@@ -88,7 +88,7 @@ def test_spin_lowering_identity_on_shell_graph():
     g = make_lambda(d, N)
     st_n = trial_state(d, N, [(1, 0)])
     st_n1 = trial_state(d, N, [(1, 0), (0, 0)])
-    low = lowering_matrix(g, n + 1).to_csr()
+    low = lowering_matrix(g, n + 1)
     lhs = low @ st_n.coefficients
     rhs = spec_L ** (d / 2) / math.sqrt(n + 1) * st_n1.coefficients
     assert np.max(np.abs(lhs - rhs)) < 1e-12
@@ -104,7 +104,7 @@ def test_identity_with_bose_route():
     modes = [(1,), (2,)]
     nu = occupation_from_modes(modes)
     psi = trial_state(d, L, modes).coefficients
-    T = contraction_T_box(d, L, n).to_csr()
+    T = contraction_T_box(d, L, n)
     other = math.factorial(n) / math.sqrt(arrangement_count(nu)) * (
         T @ bose_basis(d, L, nu))
     assert np.max(np.abs(psi - other)) < 1e-12
@@ -128,7 +128,7 @@ def test_bose_basis_orthonormal_eigen(d, L, n):
     occs = occupations(d, L, n)
     B = np.column_stack([bose_basis(d, L, nu) for nu in occs])
     assert np.max(np.abs(B.T @ B - np.eye(len(occs)))) < 1e-10
-    h = free_laplacian(make_box(d, L), n).to_csr()
+    h = free_laplacian(make_box(d, L), n)
     for i, nu in enumerate(occs):
         lam = bose_energy(d, L, nu)
         assert np.max(np.abs(h @ B[:, i] - lam * B[:, i])) < 1e-10
