@@ -155,37 +155,39 @@ def foel_check(g, n, strict=False, tol=ENERGY_TOL, method="auto", seed=0):
     """Check that no level above n dips below the level-n energy.
 
     In strict mode every level n' > n must exceed the level-n energy by more
-    than ``tol``.  Solver failures mark the verdict incomplete instead of
-    deciding it, and each keeps its level and exception in ``failures``.
-    ``seed`` seeds ARPACK's restarts and its random start vectors, which
+    than ``tol``.  The levels come from one :func:`_levels` table.  Solver
+    failures mark the verdict incomplete instead of deciding it: a failed
+    level is NaN, which no comparison counts as a violation, and keeps its
+    level and ``"Type: message"`` text in ``failures``.  ``seed`` seeds
+    ARPACK's restarts and its random start vectors, which
     :func:`energy_level` mixes into its starts and uses alone when the
-    spin-wave start fails.  The levels share one :func:`_level_lowering`.
+    spin-wave start fails.
     """
-    V = g.vertex_count
-    if n > V // 2:
+    if n > g.vertex_count // 2:
         raise ValueError(f"n={n} exceeds half the vertex count")
-    lowering = _level_lowering(g)
-    energies = {}
-    failures = []
-    for m in range(n, V // 2 + 1):
-        try:
-            energies[m] = energy_level(g, m, method=method, seed=seed, lowering=lowering)
-        except HeisError as exc:
-            failures.append({"n_prime": m, "error": f"{type(exc).__name__}: {exc}"})
-            energies[m] = math.nan
+    energies, errors = _levels(g, n, method, seed, _level_lowering(g))
     base = energies[n]
-    violations = []
-    for m in range(n, V // 2 + 1):
-        e = energies[m]
-        if math.isnan(e):
-            continue
-        if e < base - tol:
-            violations.append((m, e))
-        elif strict and m > n and e <= base + tol:
-            violations.append((m, e))
+    violations = [(m, e) for m, e in energies.items()
+                  if e < base - tol or (strict and m > n and e <= base + tol)]
     return FoelVerdict(n=n, holds=not violations, strict=strict,
                        violations=violations, tol=tol, energies=energies,
-                       incomplete=bool(failures), failures=failures)
+                       incomplete=bool(errors),
+                       failures=[{"n_prime": m, "error": text} for m, text in errors.items()])
+
+
+def _levels(g, n, method, seed, lowering):
+    """The level table of g: E_r for r = n..V/2 by :func:`energy_level`,
+    every solve sharing ``lowering``.  Returns ({r: E_r}, {r: text}), with
+    E_r NaN where the solve raised :class:`HeisError` and the text
+    ``"Type: message"`` of each such failure."""
+    energies, errors = {}, {}
+    for r in range(n, g.vertex_count // 2 + 1):
+        try:
+            energies[r] = energy_level(g, r, method=method, seed=seed, lowering=lowering)
+        except HeisError as exc:
+            energies[r] = math.nan
+            errors[r] = f"{type(exc).__name__}: {exc}"
+    return energies, errors
 
 
 def _level_lowering(g):
@@ -243,8 +245,10 @@ def dilute_extend(prev, next_graph, n, tol=ENERGY_TOL, method="auto", seed=0, *,
     previous energy, clamped at 0; then E(s) <= l_t(s), so s <= t*, and
     from t = 1 the iterates rise monotonically to t*.  They stop when a
     step forward is at most 1e-13, or at a step back, which only solver
-    noise in E near t* can cause.  Case 2 solves t = 1 once more for psi_1;
-    every other t is solved once.
+    noise in E near t* can cause.  Case 2 solves t = 1 once more for psi_1
+    and then each iterate once, and counts these solves against
+    ``_MAX_SOLVES``; the two checks of an iterate's energy (no bracket at
+    t = 0, or a rise above the previous energy) follow its solve.
 
     ``lowering`` is handed to every solve, as in :func:`energy_level`.
 
@@ -273,17 +277,22 @@ def dilute_extend(prev, next_graph, n, tol=ENERGY_TOL, method="auto", seed=0, *,
     if e <= prev_energy + tol:
         return DiluteStep(t_star=1.0, couplings=J, energy=e, case=1)
 
-    @functools.cache
-    def energy_at(t):
-        g, J = couple(t)
-        return *_lowest_level(g, n, method=method, tol=1e-10, seed=seed, vector=True,
-                              lowering=lowering), J
-
     increments = {edge: target - start for edge, start, target in data}
     D = hamiltonian_magnon(next_graph.with_couplings(increments), n)
     t = 1.0
-    e, psi, J = energy_at(t)
-    while True:
+    for solves in itertools.count(1):
+        g, J = couple(t)
+        e, psi = _lowest_level(g, n, method=method, tol=1e-10, seed=seed, vector=True,
+                               lowering=lowering)
+        # the bound keeps every iterate after t = 1 within tol of the previous energy
+        if solves > 1 and e > prev_energy + tol:
+            if t == 0.0:
+                raise NumericalError(
+                    "no bracket: energy at t=0 already exceeds the previous level",
+                    diagnostics={"energy_at_0": e, "prev_energy": prev_energy},
+                )
+            raise NumericalError("dilution iterate rose above the previous energy",
+                                 diagnostics={**diagnostics, "next_t": t, "next_energy": e})
         slope = float(psi @ (D @ psi))
         diagnostics = {"t": t, "energy": e, "slope": slope, "prev_energy": prev_energy}
         if slope > 0:
@@ -296,19 +305,10 @@ def dilute_extend(prev, next_graph, n, tol=ENERGY_TOL, method="auto", seed=0, *,
         # below t=1, E <= E_prev + tol: a step back is solver noise at t*
         if t < 1.0 and s <= t + _STEP_TOL:
             break
-        if energy_at.cache_info().currsize >= _MAX_SOLVES:
+        if solves >= _MAX_SOLVES:
             raise NumericalError(f"no crossing within {_MAX_SOLVES} solves",
                                  diagnostics=diagnostics)
         t = s
-        e, psi, J = energy_at(t)
-        if t == 0.0 and e > prev_energy + tol:
-            raise NumericalError(
-                "no bracket: energy at t=0 already exceeds the previous level",
-                diagnostics={"energy_at_0": e, "prev_energy": prev_energy},
-            )
-        if e > prev_energy + tol:
-            raise NumericalError("dilution iterate rose above the previous energy",
-                                 diagnostics={**diagnostics, "next_t": t, "next_energy": e})
     if abs(e - prev_energy) > tol:
         raise NumericalError(
             "dilution failed to match the previous energy",
@@ -364,10 +364,14 @@ class InductionReport:
 def induction_run(d, n, N_max, tol=ENERGY_TOL, method="auto", seed=0):
     """Run the growing-family induction for level n up to N_max vertices.
 
-    Computes the level energies along the lattice family, marks new lows,
-    builds the diluted coupling chain, and at every new low verifies that the
-    new-low energy is at most every E_r(k-vertex graph) with r >= n, k <= N.
-    The solves of each vertex count share one :func:`_level_lowering`.
+    Solves one :func:`_levels` table per vertex count N (E_r for r >= n,
+    sharing one :func:`_level_lowering` with the dilution step of that N)
+    and reads everything else from the tables: the rows and new lows of
+    E_n, ``e_min_up`` (NaN when a level of that N failed), and at every new
+    low the check that the new-low energy is at most every E_r(k-vertex
+    graph) with r >= n, k <= N.  It also builds the diluted coupling chain.
+    A failed level or dilution step is listed in ``failures`` with its
+    ``"Type: message"`` text and makes the report partial.
     """
     if n < 1:
         raise ValueError(f"level n must be at least 1, got n={n}")
@@ -375,30 +379,23 @@ def induction_run(d, n, N_max, tol=ENERGY_TOL, method="auto", seed=0):
         raise ValueError("N_max must be at least 2n")
     N_values = list(range(2 * n, N_max + 1))
     graphs = [make_lambda(d, N) for N in N_values]
-    failures = []
-    energy = {}
+    energy, errors = {}, {}     # N -> {r: E_r}, N -> {r: failure text}
     couplings, t_values = [graphs[0].coupling_map()], [1.0]
     dilution_error = None
-    # one pass per vertex count: its level grid and its dilution step share
+    # one pass per vertex count: its level table and its dilution step share
     # the lowering chain, which is dropped before the next count's is built
     for i, (N, g) in enumerate(zip(N_values, graphs)):
         lowering = _level_lowering(g)
-        for r in range(n, N // 2 + 1):
-            try:
-                energy[(N, r)] = energy_level(g, r, method=method, seed=seed,
-                                              lowering=lowering)
-            except HeisError as exc:
-                failures.append({"N": N, "r": r, "error": str(exc)})
-                energy[(N, r)] = math.nan
+        energy[N], errors[N] = _levels(g, n, method, seed, lowering)
         if i == 0:
-            energies = [energy[(N, n)]]
+            energies = [energy[N][n]]
         elif dilution_error is None:
             try:
                 step = dilute_extend((graphs[i - 1], couplings[-1], energies[-1]), g, n,
                                      tol=max(tol, 1e-10), method=method, seed=seed,
                                      lowering=lowering)
             except (HeisError, ValueError) as exc:
-                dilution_error = str(exc)
+                dilution_error = f"{type(exc).__name__}: {exc}"
             else:
                 couplings.append(step.couplings)
                 energies.append(step.energy)
@@ -407,27 +404,23 @@ def induction_run(d, n, N_max, tol=ENERGY_TOL, method="auto", seed=0):
     rows = []
     running = math.inf
     new_lows = []
-    # the first row has no step; rows past a failed step have no t*
+    # the first row has no step; rows past a failed step have no t*.  A
+    # failed level is NaN, which compares false: never a new low or a
+    # violation, and min() keeps the running value
     for N, t_star in itertools.zip_longest(N_values, [None, *t_values[1:]]):
-        e = energy[(N, n)]
-        is_low = not math.isnan(e) and e <= running + tol
-        running = min(running, e) if not math.isnan(e) else running
+        e = energy[N][n]
+        is_low = e <= running + tol
+        running = min(running, e)
         if is_low:
             new_lows.append(N)
         rows.append(InductionRow(N=N, energy=e, is_new_low=is_low, t_star=t_star))
 
-    e_min_up = {
-        N: min(energy[(N, r)] for r in range(n, N // 2 + 1)) for N in N_values
-    }
-
-    grid_violations = []
-    for N_star in new_lows:
-        base = energy[(N_star, n)]
-        for k in range(2 * n, N_star + 1):
-            for r in range(n, k // 2 + 1):
-                e = energy[(k, r)]
-                if not math.isnan(e) and e < base - tol:
-                    grid_violations.append((N_star, k, r, e))
+    e_min_up = {N: math.nan if errors[N] else min(E.values()) for N, E in energy.items()}
+    grid_violations = [(N_star, k, r, e) for N_star in new_lows
+                       for k in range(2 * n, N_star + 1)
+                       for r, e in energy[k].items() if e < energy[N_star][n] - tol]
+    failures = [{"N": N, "r": r, "error": text}
+                for N, texts in errors.items() for r, text in texts.items()]
 
     diluted = None
     problems = []

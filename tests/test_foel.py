@@ -227,12 +227,40 @@ def test_partial_induct_report_lists_failures(monkeypatch, capsys):
         res = json.loads(capsys.readouterr().out, parse_constant=reject)["results"]
     assert res["partial"] is True
     assert [(f["N"], f["r"]) for f in res["failures"][:2]] == [(8, 4), (9, 4)]
-    assert all("ARPACK" in f["error"] for f in res["failures"][:2])
-    assert res["failures"][-1]["stage"] == "dilution"
+    assert all(f["error"].startswith("ConvergenceError: ARPACK") for f in res["failures"][:2])
+    # the chain cannot start from the failed N = 8 level
+    assert res["failures"][-1] == {
+        "stage": "dilution",
+        "error": "ValueError: previous energy must be finite; start the chain at 2n vertices",
+    }
     # a complete report carries no failures key
     assert main(argv) == 0
     res = json.loads(capsys.readouterr().out, parse_constant=reject)["results"]
     assert res["partial"] is False and "failures" not in res
+
+
+def test_e_min_up_is_null_when_any_level_failed(monkeypatch, capsys):
+    # a failed level above r = n used to drop out of min() unnoticed
+    def injected(g, r, **kwargs):
+        if (g.vertex_count, r) in {(8, 3), (9, 2)}:
+            raise ConvergenceError("injected")
+        return energy_level(g, r, **kwargs)
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    monkeypatch.setattr(heis.foel, "energy_level", injected)
+    rep = induction_run(1, 2, 9)
+    assert [N for N, e in rep.e_min_up.items() if math.isnan(e)] == [8, 9]
+    assert rep.e_min_up[7] == min(energy_level(make_lambda(1, 7), r) for r in (2, 3))
+    assert main(["induct", "--d", "1", "--n", "2", "--N-max", "9"]) == 3
+    res = json.loads(capsys.readouterr().out, parse_constant=reject)["results"]
+    assert res["e_min_up"]["8"] is None and res["e_min_up"]["9"] is None
+    assert res["failures"] == [
+        {"N": 8, "r": 3, "error": "ConvergenceError: injected"},
+        {"N": 9, "r": 2, "error": "ConvergenceError: injected"},
+        {"stage": "dilution", "error": "ConvergenceError: injected"},
+    ]
 
 
 def test_programming_errors_propagate(monkeypatch):
@@ -471,6 +499,35 @@ def test_dilute_extend_rejects_iterate_above_previous_energy(monkeypatch):
         dilute_extend((prev, {(0, 1): 1.0}, 1.0), make_ring(3), 1, tol=1e-10)
 
 
+def _below_t1(change):
+    """A ``_lowest_level`` that applies ``change`` to (E, psi) where some
+    coupling of the graph is below 1, i.e. at a dilution iterate t < 1."""
+    lowest_level = heis.foel._lowest_level
+
+    def changed(g, *args, **kwargs):
+        e, psi = lowest_level(g, *args, **kwargs)
+        return change(e, psi) if min(g.couplings) < 1.0 else (e, psi)
+    return changed
+
+
+def test_dilute_extend_rejects_flat_slope_below_t1(monkeypatch):
+    # a zero state below t = 1 has slope 0, which the concave E(t) forbids
+    monkeypatch.setattr(heis.foel, "_lowest_level", _below_t1(lambda e, psi: (e, 0 * psi)))
+    prev = Graph((0, 1), ((0, 1),), (1.0,))
+    with pytest.raises(NumericalError, match="slope is not positive below t=1"):
+        dilute_extend((prev, {(0, 1): 1.0}, 1.0), make_ring(3), 1, tol=1e-10)
+
+
+def test_dilute_extend_rejects_unmatched_crossing(monkeypatch):
+    # an energy 1e-6 below the previous one with a slope of order 1e12
+    # stops the Newton steps away from the crossing
+    monkeypatch.setattr(heis.foel, "_lowest_level",
+                        _below_t1(lambda e, psi: (e - 1e-6, 1e6 * psi)))
+    prev = Graph((0, 1), ((0, 1),), (1.0,))
+    with pytest.raises(NumericalError, match="failed to match the previous energy"):
+        dilute_extend((prev, {(0, 1): 1.0}, 1.0), make_ring(3), 1, tol=1e-10)
+
+
 def test_dilute_extend_solve_budget(monkeypatch):
     # running out of solves raises instead of returning an unmatched t
     monkeypatch.setattr(heis.foel, "_MAX_SOLVES", 1)
@@ -530,6 +587,34 @@ def test_dilution_crossings_are_unique(monkeypatch, d, n, N_max):
                                           seq.graphs[k])
         J = {e: (1 - s) * start + s * target for e, start, target in data}
         assert energy_level(seq.graphs[k].with_couplings(J), n) > prev_energy
+
+
+def test_solve_counts_pinned(monkeypatch):
+    # induction_run(2, 4, 14): 16 table levels (r = 4..N/2 for N = 8..14),
+    # then per chain step a t = 1 check (6) and the case-2 Newton solves (5).
+    # Each t = 1 check repeats the table's E_4 of its N; it stays while the
+    # benchmark's tracer counts energy_level calls in dilute_extend as solves
+    calls, depth = [], []
+
+    def counting(*args, vector, **kwargs):
+        calls.append(("dilute" if depth else "table", vector))
+        return lowest_level(*args, vector=vector, **kwargs)
+
+    def stepping(*args, **kwargs):
+        depth.append(1)
+        try:
+            return dilute(*args, **kwargs)
+        finally:
+            depth.pop()
+    lowest_level, dilute = heis.foel._lowest_level, heis.foel.dilute_extend
+    monkeypatch.setattr(heis.foel, "_lowest_level", counting)
+    monkeypatch.setattr(heis.foel, "dilute_extend", stepping)
+    induction_run(2, 4, 14)
+    assert {key: calls.count(key) for key in set(calls)} == {
+        ("table", False): 16, ("dilute", False): 6, ("dilute", True): 5}
+    calls.clear()
+    foel_check(make_path(16), 1)
+    assert calls == [("table", False)] * 8
 
 
 def test_dilute_extend_rejects_infinite_start():
