@@ -118,8 +118,11 @@ def _emit(args, report, csv_rows=None, csv_header=None):
         writer.writerows(csv_rows or [])
         text = buf.getvalue()
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise HeisError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

@@ -109,53 +109,46 @@ def full_spectrum(op, with_vectors=True):
     return EigResult(values=vals, method="dense")
 
 
-def lowest_eig(apply, project, dim, method, tol, seed, vector=True, start=None):
+def lowest_eig(apply, project, dim, method, tol, seed, start=None):
     """Lowest eigenpair of the symmetric operator x -> apply(x) on the range
     of the orthogonal projector x -> project(x) in R^dim.
 
     ``apply`` must commute with the projector and be positive semidefinite
-    on the complement of its range.  The solve is then of
+    on the complement of its range.  The solve is then of the lifted
     A = apply + c(I - project): each state of the complement sits at c or
     higher, so for c above the sought eigenvalue it is A's lowest.  Both
-    callables act on vectors and on the columns of a matrix.
+    callables act on vectors and on the columns of a matrix.  Both paths
+    take c = <v0, apply v0> / <v0, v0> + 1 at a start v0 in the range (an
+    upper bound on the sought eigenvalue plus 1, so A's spectrum spans
+    little more than that of ``apply``), from v0 = Pr with r drawn with
+    ``seed``: the result is deterministic for a fixed seed.
 
     ``method="auto"`` is dense at or below ``DENSE_CUTOFF`` and ARPACK above.
     The dense solve (also for dim 1, which ARPACK cannot take) raises
     :class:`SizeBudgetError` above ``DENSE_BUDGET`` first, then builds A in
-    column blocks of ``_DENSE_BLOCK_ENTRIES`` entries, with
-    c = ||apply||_inf + 1; with ``vector=False`` it computes the eigenvalue
-    alone and returns ``None`` for the vector.
+    one pass over column blocks of the identity of ``_DENSE_BLOCK_ENTRIES``
+    entries, so the projector's temporaries stay a block wide.
 
-    ARPACK solves to relative residual ``tol`` from a start v0 in the range:
-    with r a random vector drawn with ``seed`` and s = ``start()`` when a
-    zero-argument callable is given (it is called on the ARPACK path only),
-    v0 = Ps / ||Ps|| + ``_START_NOISE`` Pr / ||Pr||, or v0 = Pr when there is
-    no start or ||Ps|| <= ``_MIN_START_WEIGHT`` ||s||.  The random part
-    reaches every symmetry sector, which s alone may miss.  The lift is the
-    Rayleigh quotient c = <v0, apply v0> / <v0, v0> + 1, an upper bound on the
-    sought eigenvalue plus 1, so A's spectrum spans little more than that of
-    ``apply``.  ``seed`` also seeds the restart vectors, so the result is
-    deterministic.  ARPACK stops with error -9 when the operator annihilates
-    its start vector (the zero operator does, at every size), so it runs on
-    A plus the identity and the shift is undone.  ARPACK failures raise
-    :class:`ConvergenceError`.
+    ARPACK solves to relative residual ``tol``.  Given a zero-argument
+    callable ``start`` (called on this path only) and s = ``start()``, it
+    starts from v0 = Ps / ||Ps|| + ``_START_NOISE`` Pr / ||Pr|| unless
+    ||Ps|| <= ``_MIN_START_WEIGHT`` ||s||; the random part reaches every
+    symmetry sector, which s alone may miss.  ``seed`` also seeds the
+    restart vectors.  ARPACK stops with error -9 when the operator
+    annihilates its start vector (the zero operator does, at every size), so
+    it runs on A plus the identity and the shift is undone.  ARPACK failures
+    raise :class:`ConvergenceError`.
     """
     if method == "auto":
         method = "dense" if dim <= DENSE_CUTOFF else "krylov"
     if method not in ("dense", "krylov"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "dense" or dim < 2:
-        if dim > DENSE_BUDGET:
-            raise SizeBudgetError(
-                f"dim {dim} exceeds dense budget {DENSE_BUDGET}; use the krylov path")
-        A = _lifted_matrix(apply, project, dim)
-        if not vector:
-            return float(scipy.linalg.eigh(A, subset_by_index=[0, 0], eigvals_only=True,
-                                           overwrite_a=True)[0]), None
-        vals, vecs = scipy.linalg.eigh(A, subset_by_index=[0, 0], overwrite_a=True)
-        return float(vals[0]), vecs[:, 0]
+    dense = method == "dense" or dim < 2
+    if dense and dim > DENSE_BUDGET:
+        raise SizeBudgetError(
+            f"dim {dim} exceeds dense budget {DENSE_BUDGET}; use the krylov path")
     v0 = project(np.random.default_rng(seed).standard_normal(dim))
-    if start is not None:
+    if start is not None and not dense:
         s = start()
         ps = project(s)
         weight = np.linalg.norm(ps)
@@ -163,9 +156,16 @@ def lowest_eig(apply, project, dim, method, tol, seed, vector=True, start=None):
             v0 = ps / weight + _START_NOISE / np.linalg.norm(v0) * v0
     lift = float(v0 @ apply(v0)) / float(v0 @ v0) + 1.0
 
-    def shifted_lifted(x):
-        return apply(x) + (lift + 1.0) * x - lift * project(x)
-    shifted = LinearOperator((dim, dim), matvec=shifted_lifted, dtype=np.float64)
+    def lifted(x):
+        return apply(x) + lift * (x - project(x))
+    if dense:
+        A = np.empty((dim, dim), order="F")
+        width = max(1, _DENSE_BLOCK_ENTRIES // dim)
+        for i in range(0, dim, width):
+            A[:, i:i + width] = lifted(np.eye(dim, min(width, dim - i), -i))
+        vals, vecs = scipy.linalg.eigh(A, subset_by_index=[0, 0], overwrite_a=True)
+        return float(vals[0]), vecs[:, 0]
+    shifted = LinearOperator((dim, dim), matvec=lambda x: lifted(x) + x, dtype=np.float64)
     try:
         vals, vecs = eigsh(shifted, k=1, which="SA", v0=v0, tol=tol,
                            rng=np.random.default_rng(seed))
@@ -179,28 +179,6 @@ def lowest_eig(apply, project, dim, method, tol, seed, vector=True, start=None):
     except ArpackError as exc:
         raise ConvergenceError(f"ARPACK failed: {exc}") from exc
     return float(vals[0]) - 1.0, vecs[:, 0]
-
-
-def _lifted_matrix(apply, project, dim):
-    """apply + c(I - project) as a dense Fortran-ordered matrix, c = ||apply||_inf + 1.
-
-    Built in column blocks of the identity, so the projector's temporaries
-    stay a block wide.  The first pass stores apply and its norm (the largest
-    absolute column sum, which is the row sum for a symmetric operator); the
-    second adds the lift.
-    """
-    A = np.empty((dim, dim), order="F")
-    width = max(1, _DENSE_BLOCK_ENTRIES // dim)
-    blocks = [slice(i, min(i + width, dim)) for i in range(0, dim, width)]
-    norm = 0.0
-    for b in blocks:
-        A[:, b] = apply(np.eye(dim, b.stop - b.start, -b.start))
-        norm = max(norm, float(np.abs(A[:, b]).sum(axis=0).max()))
-    lift = norm + 1.0
-    for b in blocks:
-        E = np.eye(dim, b.stop - b.start, -b.start)
-        A[:, b] += lift * (E - project(E))
-    return A
 
 
 def min_eig(op, deflate=None, tol=1e-10, seed=0, method="auto"):

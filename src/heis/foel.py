@@ -106,21 +106,21 @@ def energy_level(g, n, method="auto", tol=1e-10, seed=0, *, lowering=None):
     non-constant one-magnon mode (:func:`_spin_wave_state`) plus a little of
     P applied to a random vector drawn with ``seed``, which also seeds
     ARPACK's restarts; when P nearly annihilates the spin-wave state, and for
-    n = 1, from the projected random vector alone.  ``lowering`` is a
-    :func:`heis.sector.lowering_chain` for V vertices reaching at least n,
-    shared by the solves of one vertex count; without it P builds its own.
+    n = 1, from the projected random vector alone.  The lift depends on
+    ``seed``, and so does the vector returned within a degenerate level.
+    ``lowering`` is a :func:`heis.sector.lowering_chain` for V vertices
+    reaching at least n, shared by the solves of one vertex count; without
+    it P builds its own.
     Raises :class:`SizeBudgetError` when the sector exceeds ``SECTOR_BUDGET``
     (or ``DENSE_BUDGET`` with ``method="dense"``) and
     :class:`ConvergenceError` when ARPACK fails.
     """
-    return _lowest_level(g, n, method=method, tol=tol, seed=seed, vector=False,
-                         lowering=lowering)[0]
+    return _lowest_level(g, n, method=method, tol=tol, seed=seed, lowering=lowering)[0]
 
 
-def _lowest_level(g, n, method, tol, seed, vector, lowering=None):
+def _lowest_level(g, n, method, tol, seed, lowering=None):
     """(E_n, unit eigenvector in the highest-weight space) as in
-    :func:`energy_level`; the vector is ``None`` when n > V/2, and with
-    ``vector=False`` also on the dense path, which then skips computing it."""
+    :func:`energy_level`; the vector is ``None`` when n > V/2."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if method not in ("auto", "dense", "krylov"):
@@ -136,7 +136,7 @@ def _lowest_level(g, n, method, tol, seed, vector, lowering=None):
     # large as the one it would replace
     start = functools.partial(_spin_wave_state, g, n) if n >= 2 else None
     return lowest_eig(lambda x: H @ x, project, H.shape[0], method=method, tol=tol,
-                      seed=seed, vector=vector, start=start)
+                      seed=seed, start=start)
 
 
 def _spin_wave_state(g, n):
@@ -144,10 +144,10 @@ def _spin_wave_state(g, n):
     lowest non-constant one-magnon mode: the lowest eigenvector of the
     one-magnon H on the complement of the constant mode (energy 0).  At
     large L the low levels of spin deviate n are close to n magnons in that
-    mode."""
+    mode.  A fixed seed picks the mode where it is degenerate (ring10)."""
     one = hamiltonian_magnon(g, 1)
     _, phi = lowest_eig(lambda x: one @ x, lambda x: x - x.mean(axis=0), g.vertex_count,
-                        method="dense", tol=None, seed=None)
+                        method="dense", tol=None, seed=0)
     return product_state(phi, n)
 
 
@@ -282,8 +282,7 @@ def dilute_extend(prev, next_graph, n, tol=ENERGY_TOL, method="auto", seed=0, *,
     t = 1.0
     for solves in itertools.count(1):
         g, J = couple(t)
-        e, psi = _lowest_level(g, n, method=method, tol=1e-10, seed=seed, vector=True,
-                               lowering=lowering)
+        e, psi = _lowest_level(g, n, method=method, tol=1e-10, seed=seed, lowering=lowering)
         # the bound keeps every iterate after t = 1 within tol of the previous energy
         if solves > 1 and e > prev_energy + tol:
             if t == 0.0:
@@ -333,7 +332,6 @@ class InductionReport:
     e_min_up: dict              # N -> min over r >= n of E_r
     new_lows: list
     grid_violations: list       # (new_low, k, r, E_r) below the new-low energy
-    foel_conclusions: list      # N values where FOEL-n is concluded
     diluted: DilutedSequence = None
     dilution_problems: list = field(default_factory=list)
     failures: list = field(default_factory=list)
@@ -351,9 +349,8 @@ class InductionReport:
             ],
             "e_min_up": {str(k): v for k, v in sorted(self.e_min_up.items())},
             "new_lows": self.new_lows,
-            "verdicts": [
-                {"N": N, "foel_level": self.n, "holds": True} for N in self.foel_conclusions
-            ],
+            # FOEL-n is concluded at every new low
+            "verdicts": [{"N": N, "foel_level": self.n, "holds": True} for N in self.new_lows],
             "grid_violations": self.grid_violations,
             "dilution_problems": self.dilution_problems,
             "partial": self.partial,
@@ -433,7 +430,6 @@ def induction_run(d, n, N_max, tol=ENERGY_TOL, method="auto", seed=0):
 
     return InductionReport(
         d=d, n=n, rows=rows, e_min_up=e_min_up, new_lows=new_lows,
-        grid_violations=grid_violations, foel_conclusions=list(new_lows),
-        diluted=diluted, dilution_problems=problems, failures=failures,
-        partial=bool(failures),
+        grid_violations=grid_violations, diluted=diluted, dilution_problems=problems,
+        failures=failures, partial=bool(failures),
     )

@@ -299,7 +299,7 @@ def test_criterion_12_induction_harness():
             assert rep.diluted is not None
             assert rep.diluted.check_invariants(tol=1e-8) == []
             assert not rep.grid_violations
-            assert 12 in rep.foel_conclusions
+            assert 12 in rep.new_lows
             direct = foel_check(make_lambda(1, 12), n)
             assert direct.holds  # harness conclusion agrees with direct check
     print(f"ACCEPTANCE 12: PASS (diluted-system invariants + agreement, "

@@ -251,6 +251,17 @@ def test_reports_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("target", ["missing/r.json", "."])
+def test_unwritable_out_is_an_argument_error(capsys, tmp_path, target):
+    # a missing parent directory, or a directory: exit 2 with the path, no traceback
+    path = tmp_path / target
+    code, out, err = run(capsys, "foel", "--graph", "path:L=4", "--n", "1",
+                         "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"cannot write --out {str(path)!r}" in err
+
+
 def test_csv_output(tmp_path):
     out = tmp_path / "r.csv"
     main(["spectrum", "--graph", "path:L=3", "--sector", "1",

@@ -136,14 +136,15 @@ def test_min_eig_permutation_invariance(rng):
 
 
 @pytest.mark.parametrize("method", ["dense", "krylov"])
-def test_lowest_eig_value_only(method):
-    # the dense path skips the vector when asked; ARPACK returns it anyway
+def test_lowest_eig_returns_a_deterministic_pair(method):
+    # both paths return the eigenvector, and the seeded lift makes a repeat
+    # with the same seed return the same pair
     H = hamiltonian_magnon(make_lambda(2, 9), 2)
     apply, project = (lambda x: H @ x), (lambda x: x)
     value, vec = lowest_eig(apply, project, H.shape[0], method, 1e-12, 0)
-    alone, skipped = lowest_eig(apply, project, H.shape[0], method, 1e-12, 0, vector=False)
-    assert alone == pytest.approx(value, abs=1e-12)
-    assert (skipped is None) == (method == "dense")
+    again, same = lowest_eig(apply, project, H.shape[0], method, 1e-12, 0)
+    assert again == value
+    assert np.array_equal(same, vec)
     assert np.linalg.norm(H @ vec - value * vec) < 1e-8
 
 

@@ -444,30 +444,30 @@ def test_dilute_extend_solves_t0_once(monkeypatch):
     # triangle in a handful of solves
     solved = []
 
-    def counting(g, n, *args, vector, **kwargs):
-        solved.append((g.couplings, vector))
-        return lowest_level(g, n, *args, vector=vector, **kwargs)
+    def counting(g, n, *args, **kwargs):
+        solved.append(g.couplings)
+        return lowest_level(g, n, *args, **kwargs)
     lowest_level = heis.foel._lowest_level
     monkeypatch.setattr(heis.foel, "_lowest_level", counting)
     prev = Graph((0, 1), ((0, 1),), (1.0,))
     step = dilute_extend((prev, {(0, 1): 1.0}, 1.0), make_ring(3), 1, tol=1e-10)
     assert step.case == 2
-    assert solved[0] == ((1.0, 1.0, 1.0), False)
-    assert all(vector for _, vector in solved[1:])
-    assert len(set(solved)) == len(solved) <= 6
+    assert solved[0] == solved[1] == (1.0, 1.0, 1.0)
+    assert len(set(solved[1:])) == len(solved) - 1 <= 5
 
 
-def test_dilute_extend_case1_computes_no_vector(monkeypatch):
-    vectors = []
+def test_dilute_extend_case1_solves_once(monkeypatch):
+    # a step that closes at t = 1 makes only its t = 1 check
+    solved = []
 
-    def recording(*args, vector, **kwargs):
-        vectors.append(vector)
-        return lowest_level(*args, vector=vector, **kwargs)
+    def recording(g, *args, **kwargs):
+        solved.append(g.couplings)
+        return lowest_level(g, *args, **kwargs)
     lowest_level = heis.foel._lowest_level
     monkeypatch.setattr(heis.foel, "_lowest_level", recording)
     prev = make_box(1, 2)
     assert dilute_extend((prev, None, 1.0), make_path(3), 1).case == 1
-    assert vectors == [False]
+    assert solved == [(1.0, 1.0)]
 
 
 def test_dilute_extend_tolerates_solver_noise_at_crossing(monkeypatch):
@@ -519,10 +519,13 @@ def test_dilute_extend_rejects_flat_slope_below_t1(monkeypatch):
 
 
 def test_dilute_extend_rejects_unmatched_crossing(monkeypatch):
-    # an energy 1e-6 below the previous one with a slope of order 1e12
-    # stops the Newton steps away from the crossing
+    # an energy held 1e-6 below the previous one, with a slope of order
+    # 1e12, stops the Newton steps at the first iterate below t = 1, away
+    # from the crossing.  Ring3's t = 1 level is two-fold degenerate, so
+    # that iterate depends on the vector solved there; the held energy
+    # does not
     monkeypatch.setattr(heis.foel, "_lowest_level",
-                        _below_t1(lambda e, psi: (e - 1e-6, 1e6 * psi)))
+                        _below_t1(lambda e, psi: (1.0 - 1e-6, 1e6 * psi)))
     prev = Graph((0, 1), ((0, 1),), (1.0,))
     with pytest.raises(NumericalError, match="failed to match the previous energy"):
         dilute_extend((prev, {(0, 1): 1.0}, 1.0), make_ring(3), 1, tol=1e-10)
@@ -593,28 +596,33 @@ def test_solve_counts_pinned(monkeypatch):
     # induction_run(2, 4, 14): 16 table levels (r = 4..N/2 for N = 8..14),
     # then per chain step a t = 1 check (6) and the case-2 Newton solves (5).
     # Each t = 1 check repeats the table's E_4 of its N; it stays while the
-    # benchmark's tracer counts energy_level calls in dilute_extend as solves
-    calls, depth = [], []
+    # benchmark's tracer counts energy_level calls in dilute_extend as solves.
+    # A solve is keyed by its caller and by whether it went through
+    # energy_level (a level) or straight to _lowest_level (a Newton pair)
+    calls, depth, level = [], [], []
 
-    def counting(*args, vector, **kwargs):
-        calls.append(("dilute" if depth else "table", vector))
-        return lowest_level(*args, vector=vector, **kwargs)
+    def counting(*args, **kwargs):
+        calls.append(("dilute" if depth else "table", "level" if level else "pair"))
+        return lowest_level(*args, **kwargs)
 
-    def stepping(*args, **kwargs):
-        depth.append(1)
-        try:
-            return dilute(*args, **kwargs)
-        finally:
-            depth.pop()
-    lowest_level, dilute = heis.foel._lowest_level, heis.foel.dilute_extend
+    def nested(stack, fn):
+        def wrapped(*args, **kwargs):
+            stack.append(1)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stack.pop()
+        return wrapped
+    lowest_level = heis.foel._lowest_level
     monkeypatch.setattr(heis.foel, "_lowest_level", counting)
-    monkeypatch.setattr(heis.foel, "dilute_extend", stepping)
+    monkeypatch.setattr(heis.foel, "dilute_extend", nested(depth, heis.foel.dilute_extend))
+    monkeypatch.setattr(heis.foel, "energy_level", nested(level, heis.foel.energy_level))
     induction_run(2, 4, 14)
     assert {key: calls.count(key) for key in set(calls)} == {
-        ("table", False): 16, ("dilute", False): 6, ("dilute", True): 5}
+        ("table", "level"): 16, ("dilute", "level"): 6, ("dilute", "pair"): 5}
     calls.clear()
     foel_check(make_path(16), 1)
-    assert calls == [("table", False)] * 8
+    assert calls == [("table", "level")] * 8
 
 
 def test_dilute_extend_rejects_infinite_start():
@@ -675,7 +683,7 @@ def test_induction_run_d1_n1():
     assert rep.new_lows == list(range(2, 9))
     assert not rep.grid_violations
     assert not rep.partial
-    assert 8 in rep.foel_conclusions
+    assert [v["N"] for v in rep.to_dict()["verdicts"]] == rep.new_lows
     assert rep.diluted is not None
     assert not rep.dilution_problems
     assert all(t == 1.0 for t in rep.diluted.t_values)  # case 1 throughout
@@ -683,7 +691,7 @@ def test_induction_run_d1_n1():
 
 def test_induction_run_d1_n2_agrees_with_direct_check():
     rep = induction_run(1, 2, 10)
-    assert 10 in rep.foel_conclusions
+    assert 10 in rep.new_lows
     assert foel_check(make_lambda(1, 10), 2).holds
     assert not rep.grid_violations
 
