@@ -83,15 +83,6 @@ def trace_check(f):
     return TraceResult(lhs=lhs, rhs=rhs, holds=lhs <= rhs * (1.0 + 1e-12))
 
 
-def _check_symmetric(F, V, n, tol=1e-10):
-    cube = np.asarray(F).reshape((V,) * n)
-    scale = max(1.0, float(np.max(np.abs(cube))) if cube.size else 1.0)
-    for k in range(n - 1):
-        if np.max(np.abs(cube - np.swapaxes(cube, k, k + 1))) > tol * scale:
-            raise ValueError("F is not symmetric under coordinate permutations")
-    return cube
-
-
 @lru_cache(maxsize=16)
 def _deficit_operators(d, N, n):
     spec = lambda_spec(d, N)
@@ -99,6 +90,25 @@ def _deficit_operators(d, N, n):
     return (spec.L_plus, box.vertex_count,
             contraction_T_box(d, N, n),
             free_laplacian(box, n))
+
+
+def _deficit_rows(d, N, n, Fs):
+    """(coefficients, deficits, bounds, holds) of the rows of ``Fs``, functions
+    on the n-fold box; ``ValueError`` unless each is symmetric to 1e-10 max(1, max |F|)."""
+    L, box_vertices, T, h = _deficit_operators(d, N, n)
+    cube = Fs.reshape((len(Fs),) + (box_vertices,) * n)
+    scale = np.maximum(1.0, np.abs(Fs).max(axis=1))
+    for k in range(1, n):
+        asym = np.abs(cube - np.swapaxes(cube, k, k + 1)).reshape(len(Fs), -1)
+        if np.any(asym.max(axis=1) > 1e-10 * scale):
+            raise ValueError("F is not symmetric under coordinate permutations")
+    norm2 = np.real(np.einsum("ij,ij->i", Fs.conj(), Fs))
+    tf = T @ Fs.T
+    deficit = norm2 - np.real(np.einsum("ij,ij->j", tf.conj(), tf))
+    kinetic = np.real(np.einsum("ij,ji->i", Fs.conj(), h @ Fs.T))
+    coeff = DeficitBound(L=L, n=n, d=d)
+    bound = coeff.kinetic_coefficient * kinetic + coeff.mass_coefficient * norm2
+    return coeff, deficit, bound, deficit <= bound * (1.0 + _REL_SLACK)
 
 
 def contraction_deficit(d, N, n, F):
@@ -109,18 +119,9 @@ def contraction_deficit(d, N, n, F):
     for a symmetric function on the n-fold box, with L the ceiling box size
     and h the free n-particle Laplacian of that box.
     """
-    L, box_vertices, T, h = _deficit_operators(d, N, n)
-    F = np.asarray(F).ravel()
-    _check_symmetric(F, box_vertices, n)
-    norm2 = float(np.real(np.vdot(F, F)))
-    tf = T @ F
-    deficit = norm2 - float(np.real(np.vdot(tf, tf)))
-    kinetic = float(np.real(np.vdot(F, h @ F)))
-    coeff = DeficitBound(L=L, n=n, d=d)
-    bound = coeff.kinetic_coefficient * kinetic + coeff.mass_coefficient * norm2
-    return DeficitResult(deficit=deficit, bound=bound,
-                         holds=deficit <= bound * (1.0 + _REL_SLACK),
-                         coefficients=coeff)
+    coeff, deficit, bound, holds = _deficit_rows(d, N, n, np.asarray(F).reshape(1, -1))
+    return DeficitResult(deficit=float(deficit[0]), bound=float(bound[0]),
+                         holds=bool(holds[0]), coefficients=coeff)
 
 
 def rho_max(n, d):

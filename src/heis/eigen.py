@@ -123,6 +123,7 @@ def lowest_eig(apply, project, dim, method, tol, seed, start=None):
     little more than that of ``apply``), from v0 = Pr with r drawn with
     ``seed``: the result is deterministic for a fixed seed.
 
+    ``dim`` below 1 raises ``ValueError`` before either callable is called.
     ``method="auto"`` is dense at or below ``DENSE_CUTOFF`` and ARPACK above.
     The dense solve (also for dim 1, which ARPACK cannot take) raises
     :class:`SizeBudgetError` above ``DENSE_BUDGET`` first, then builds A in
@@ -143,6 +144,8 @@ def lowest_eig(apply, project, dim, method, tol, seed, start=None):
         method = "dense" if dim <= DENSE_CUTOFF else "krylov"
     if method not in ("dense", "krylov"):
         raise ValueError(f"unknown method {method!r}")
+    if dim < 1:
+        raise ValueError(f"no lowest eigenpair on a space of dimension {dim}")
     dense = method == "dense" or dim < 2
     if dense and dim > DENSE_BUDGET:
         raise SizeBudgetError(

@@ -166,66 +166,72 @@ def hamiltonian_magnon(g, n):
     """
     if n == 0:
         return sp.csr_matrix((1, 1))
-    # the build's tables are freed on its return, before the conversion allocates
-    return _symmetric_csr(*_hamiltonian_upper(g, n))
-
-
-def _hamiltonian_upper(g, n):
-    """(dim, rows, cols, vals) of H's nonzero diagonal and upper-triangle hops.
-
-    A hop along the edge x < y joins Z + {x} and Z + {y}, two insertions
-    into an (n-1)-subset Z free of both; Z + {x} ranks lower in colex order,
-    so the hops are the upper triangle.
-    """
     V = g.vertex_count
     walk = _insertions(V, n)                # checks both budgets before `into` exists
     # into[x, j]: the rank of Z_j + {x}, or -1 when x is in Z_j
     into = np.full((V, math.comb(V, n - 1)), -1, dtype=np.int64)
     for x, (j, i) in enumerate(walk):
         into[x, j] = i
-    diag = np.zeros(math.comb(V, n))
-    rows, cols, vals = [], [], []
+    free = into >= 0                            # free[x, j]: x is not in Z_j
     idx = g.index_of()
-    for (u, v), J in zip(g.edges, g.couplings):
-        x, y = idx[u], idx[v]                   # x < y: vertices and edges are sorted
-        z = np.flatnonzero((into[x] >= 0) & (into[y] >= 0))
-        r, c = into[x, z], into[y, z]
-        # no rank repeats within one edge, so the diagonal sums edge by edge
-        diag[np.concatenate((r, c))] += 0.5 * J
-        rows.append(r)
-        cols.append(c)
-        vals.append(np.full(len(z), -0.5 * J))
+
+    # a hop along {x, y} joins Z + {x} and Z + {y}, for each (n-1)-subset Z free of both
+    def hops():
+        for (u, v), J in zip(g.edges, g.couplings):
+            if J:
+                x, y = idx[u], idx[v]
+                z = np.flatnonzero(free[x] & free[y])
+                yield J, into[x, z], into[y, z]
+
+    dim = math.comb(V, n)
+    diag = np.zeros(dim)
+    fill = np.zeros(dim, dtype=np.int64)        # per row: entries, then the fill point
+    # pass 1 sums the diagonal and counts hops; no rank repeats within an edge
+    for J, r, c in hops():
+        for a in (r, c):
+            diag[a] += 0.5 * J
+            fill[a] += 1
+    fill += diag != 0
+    np.cumsum(fill, out=fill)                   # one past each row's last entry
+    nnz = int(fill[-1])                         # scipy's rule: int32 below 2**31
+    indptr = np.r_[0, fill].astype(np.int32 if nnz < 1 << 31 else np.int64)
+    indices = np.empty(nnz, dtype=indptr.dtype)
+    data = np.empty(nnz)
+    for J, r, c in hops():                      # pass 2 fills both rows of a hop from their ends
+        for a, b in ((r, c), (c, r)):
+            at = fill[a] - 1
+            indices[at] = b
+            data[at] = -0.5 * J
+            fill[a] = at
     index = np.flatnonzero(diag)
-    rows.append(index)
-    cols.append(index)
-    vals.append(diag[index])
-    return len(diag), np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-
-
-def _symmetric_csr(dim, rows, cols, vals):
-    """CSR of the symmetric matrix with the given upper-triangle COO entries.
-
-    The strict upper triangle is mirrored as a second COO matrix, and the
-    CSR sum of the two drops the zeros they store.
-    """
-    upper = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim))
-    off = rows != cols
-    return (upper + sp.coo_matrix((vals[off], (cols[off], rows[off])),
-                                  shape=(dim, dim))).tocsr()
+    indices[fill[index] - 1] = index
+    data[fill[index] - 1] = diag[index]
+    H = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
+    H.sort_indices()
+    return H
 
 
 def lowering_matrix(g, n):
     """Total spin lowering operator as a map mag(n-1) -> mag(n).
 
     The column of a subset X with |X| = n-1 has a unit entry at every
-    superset X + {x}; the transpose represents the raising operator.
+    superset X + {x}; the transpose represents the raising operator.  Row X
+    has n entries, X - {x} at descending colex rank as x grows.
     """
     V = g.vertex_count
     if not 1 <= n <= V:
         raise ValueError(f"magnon number {n} out of range")
-    cols, rows = (np.concatenate(a) for a in zip(*_insertions(V, n)))
-    return sp.coo_matrix((np.ones(len(rows)), (rows, cols)),
-                         shape=(math.comb(V, n), math.comb(V, n - 1))).tocsr()
+    walk = _insertions(V, n)
+    dim, nnz = math.comb(V, n), n * math.comb(V, n)
+    # both sector budgets keep n C(V, n) and every index below 2**31
+    indptr = np.arange(0, nnz + 1, n, dtype=np.int32)
+    indices = np.empty(nnz, dtype=np.int32)
+    cursor = np.arange(n, nnz + 1, n)           # one past the last free slot of each row
+    for j, i in walk:
+        cursor[i] -= 1
+        indices[cursor[i]] = j
+    return sp.csr_matrix((np.ones(nnz), indices, indptr),
+                         shape=(dim, math.comb(V, n - 1)))
 
 
 def lowering_chain(g, n):

@@ -2,8 +2,9 @@
 
 The oracles work on the full 2^V product space, applying each bond term of
 the Hamiltonian directly to bitmask basis states (bit x set = spin at x
-flipped down).  They share no code with the sector-basis builders they
-check.
+flipped down).  The COO assemblies of the sector H and S^- rank subsets by
+binary search in the sorted bitmasks.  No oracle shares code with the
+sector-basis builders it checks.
 """
 
 import itertools
@@ -11,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 
 def product_hamiltonian(g):
@@ -78,6 +80,62 @@ def colex_unrank(index, V, n):
 def sector_masks(V, n):
     """Bitmasks of the n-magnon basis states in rank order."""
     return [sum(1 << x for x in X) for X in colex(V, n)]
+
+
+def _rank_masks(V, n):
+    # colex order is the numeric order of the bitmasks, so a sorted mask
+    # array ranks any subset by binary search
+    return np.array(sector_masks(V, n), dtype=np.uint64)
+
+
+def coo_hamiltonian(g, n):
+    """Sector Hamiltonian assembled as COO triplets and summed into CSR.
+
+    The nonzero diagonal and the hops of the upper triangle are COO
+    entries, the strict upper triangle is mirrored as a second COO matrix,
+    and the CSR sum of the two drops the zeros that hops along zero
+    couplings store.  The diagonal is summed edge by edge in edge order.
+    Ranks come from binary search in the sorted bitmasks.
+    """
+    if n == 0:
+        return sp.csr_matrix((1, 1))
+    V = g.vertex_count
+    masks = _rank_masks(V, n)
+    idx = g.index_of()
+    diag = np.zeros(len(masks))
+    rows, cols, vals = [], [], []
+    for (u, v), J in zip(g.edges, g.couplings):
+        x, y = idx[u], idx[v]
+        has_x = ((masks >> np.uint64(x)) & np.uint64(1)) == 1
+        has_y = ((masks >> np.uint64(y)) & np.uint64(1)) == 1
+        diag[has_x != has_y] += 0.5 * J
+        r = np.flatnonzero(has_x & ~has_y)      # Z + {x} ranks below Z + {y}
+        rows.append(r)
+        cols.append(np.searchsorted(masks, masks[r] ^ np.uint64((1 << x) | (1 << y))))
+        vals.append(np.full(len(r), -0.5 * J))
+    index = np.flatnonzero(diag)
+    rows.append(index)
+    cols.append(index)
+    vals.append(diag[index])
+    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    dim = len(masks)
+    upper = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim))
+    off = rows != cols
+    return (upper + sp.coo_matrix((vals[off], (cols[off], rows[off])),
+                                  shape=(dim, dim))).tocsr()
+
+
+def coo_lowering(V, n):
+    """S^-: mag(n-1) -> mag(n) assembled as unit COO entries, converted to CSR."""
+    masks, lower = _rank_masks(V, n), _rank_masks(V, n - 1)
+    rows, cols = [], []
+    for x in range(V):
+        r = np.flatnonzero((masks >> np.uint64(x)) & np.uint64(1))
+        rows.append(r)
+        cols.append(np.searchsorted(lower, masks[r] ^ np.uint64(1 << x)))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    return sp.coo_matrix((np.ones(len(rows)), (rows, cols)),
+                         shape=(len(masks), len(lower))).tocsr()
 
 
 def project_sector(mat, V, n, m=None):

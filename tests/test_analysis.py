@@ -16,6 +16,7 @@ from heis.analysis import (
     rho,
     rho_max,
     trace_check,
+    _deficit_rows,
     _geometry,
 )
 from heis.spinwave import bose_basis
@@ -115,6 +116,24 @@ def test_deficit_complex_input(rng):
     cube = rng.standard_normal((V, V)) + 1j * rng.standard_normal((V, V))
     cube = cube + cube.T
     assert contraction_deficit(1, 8, 2, cube.ravel()).holds
+
+
+def test_deficit_block_matches_one_row_calls(rng):
+    # the sweep's block kernel gives each row what a one-row call gives it,
+    # and scales each row's symmetry tolerance by that row alone
+    d, n, N = 2, 2, 9
+    V = lambda_spec(d, N).L_plus ** d
+    cubes = rng.standard_normal((5, V, V)) * np.array([1e6, 1.0, 1e-3, 1.0, 10.0])[:, None, None]
+    cubes = cubes + np.swapaxes(cubes, 1, 2)
+    _, deficit, bound, holds = _deficit_rows(d, N, n, cubes.reshape(5, -1))
+    for i, cube in enumerate(cubes):
+        r = contraction_deficit(d, N, n, cube.ravel())
+        assert r.deficit == pytest.approx(deficit[i], rel=1e-13)
+        assert r.bound == pytest.approx(bound[i], rel=1e-13)
+        assert r.holds == holds[i]
+    cubes[1, 0, 1] += 1e-7          # beyond 1e-10 of row 1, within 1e-10 of row 0
+    with pytest.raises(ValueError, match="not symmetric"):
+        _deficit_rows(d, N, n, cubes.reshape(5, -1))
 
 
 def test_deficit_with_shell_boundary(rng):

@@ -121,6 +121,17 @@ def test_min_eig_rejects_full_deflation(method):
         min_eig(np.diag([1.0, 2.0, 3.0]), deflate=np.eye(3), method=method)
 
 
+@pytest.mark.parametrize("method", ["auto", "dense", "krylov"])
+def test_empty_operator_is_a_value_error(method):
+    with pytest.raises(ValueError, match="dimension 0"):
+        min_eig(np.zeros((0, 0)), method=method)
+
+    def unreachable(x):
+        raise AssertionError("called on an empty space")
+    with pytest.raises(ValueError, match="dimension 0"):
+        lowest_eig(unreachable, unreachable, 0, method, 1e-12, 0, start=unreachable)
+
+
 def test_min_eig_dense_budget():
     # the budget check comes before the dense matrix is built
     with pytest.raises(SizeBudgetError):

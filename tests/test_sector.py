@@ -28,6 +28,8 @@ from conftest import (
     colex,
     colex_rank,
     colex_unrank,
+    coo_hamiltonian,
+    coo_lowering,
     lower_function,
     product_casimir,
     product_hamiltonian,
@@ -228,6 +230,58 @@ def test_builders_match_reference_loop_on_sparse_vertex_ids():
         _assert_builders_match_reference_loop(g, n)
 
 
+def _dilution_start(d, N):
+    # lambda(d, N) with the edges new since lambda(d, N - 1) at coupling 0
+    g = make_lambda(d, N)
+    older = make_lambda(d, N - 1).edge_keys()
+    return g.with_couplings({e: 1.0 if e in older else 0.0 for e in g.edge_keys()})
+
+
+def _assert_same_csr(op, ref):
+    assert type(op) is type(ref) and op.shape == ref.shape
+    assert op.has_canonical_format and ref.has_canonical_format
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(op, name), getattr(ref, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+_WEIGHTED = make_lambda(2, 12)
+_ORACLE_GRAPHS = {
+    "path2": make_path(2), "path9": make_path(9), "path17": make_path(17),
+    "ring3": make_ring(3), "ring12": make_ring(12), "box2x3": make_box(2, 3),
+    "box4x4": make_box(2, 4), "box2x2x2": make_box(3, 2),
+    "lambda1_5": make_lambda(1, 5), "lambda2_10": make_lambda(2, 10),
+    "lambda2_20": make_lambda(2, 20), "lambda3_27": make_lambda(3, 27),
+    "lambda1_64": make_lambda(1, 64), "lambda2_64": make_lambda(2, 64),
+    "lambda3_64": make_lambda(3, 64),
+    "weighted": _WEIGHTED.with_couplings(
+        {e: 0.25 + 0.7 * (k % 5) for k, e in enumerate(_WEIGHTED.edges)}),
+    "zero_coupling": _dilution_start(2, 12),
+    "sparse_ids": Graph(vertices=(2, 5, 7, 11, 13, 20, 31),
+                        edges=((2, 5), (2, 13), (5, 7), (5, 31), (7, 20), (11, 13),
+                               (11, 20), (13, 31)),
+                        couplings=(1.0, 0.5, 2.0, 0.25, 0.0, 1.5, 0.3, 0.75)),
+    "edgeless": Graph(vertices=(0, 3, 4), edges=(), couplings=()),
+}
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_GRAPHS))
+def test_builders_match_the_coo_assembly(name):
+    # every array, dtype and the canonical flag of H and S^- equal those of
+    # the COO + mirror + CSR-sum assembly, on every sector that fits 50000
+    g = _ORACLE_GRAPHS[name]
+    V = g.vertex_count
+    for n in range(V + 1):
+        if max(math.comb(V, n), math.comb(V, n - 1) if n else 1) > 50000:
+            continue
+        _assert_same_csr(hamiltonian_magnon(g, n), coo_hamiltonian(g, n))
+        if n:
+            _assert_same_csr(lowering_matrix(g, n), coo_lowering(V, n))
+    if name == "zero_coupling":
+        assert 0.0 in g.couplings and np.all(hamiltonian_magnon(g, 2).data != 0)
+
+
 def _assert_canonical_csr(op):
     """A CSR matrix with strictly ascending column indices in every row and
     no stored zero."""
@@ -236,13 +290,6 @@ def _assert_canonical_csr(op):
     rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
     assert np.all(np.diff(rows * op.shape[1] + op.indices) > 0)
     assert np.all(op.data != 0)
-
-
-def _dilution_start(d, N):
-    # lambda(d, N) with the edges new since lambda(d, N - 1) at coupling 0
-    g = make_lambda(d, N)
-    older = make_lambda(d, N - 1).edge_keys()
-    return g.with_couplings({e: 1.0 if e in older else 0.0 for e in g.edge_keys()})
 
 
 @pytest.mark.parametrize(
@@ -267,16 +314,30 @@ def test_builders_return_canonical_csr(g):
     assert zero.shape == (1, 1) and zero.nnz == 0
 
 
-def test_hamiltonian_build_peak_is_a_few_times_its_csr():
-    # the sectors of `heis spinwave --N 64` with three modes: dim 41664
-    g = make_lambda(2, 64)
+def _traced_build(build, g, n):
     tracemalloc.start()
     try:
-        H = hamiltonian_magnon(g, 3)
+        op = build(g, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5 * (H.data.nbytes + H.indices.nbytes + H.indptr.nbytes)
+    return op, peak, op.data.nbytes + op.indices.nbytes + op.indptr.nbytes
+
+
+def test_hamiltonian_build_peak_is_a_few_times_its_csr():
+    # the sectors of `heis spinwave --N 64` with three modes: dim 41664.  The
+    # build holds the (V, C(V, n-1)) int64 insertion table and fills the CSR
+    # arrays in place; a COO assembly with a mirrored copy peaks at 4x the CSR
+    g = make_lambda(2, 64)
+    H, peak, csr = _traced_build(hamiltonian_magnon, g, 3)
+    into = 8 * g.vertex_count * math.comb(g.vertex_count, 2)
+    assert peak < 2 * csr + into
+
+
+def test_lowering_build_peak_is_near_its_csr():
+    # every row has n entries, filled in place: no COO copy of the entries
+    _, peak, csr = _traced_build(lowering_matrix, make_lambda(2, 64), 3)
+    assert peak < 1.5 * csr
 
 
 def test_sector_budget_fails_fast():
