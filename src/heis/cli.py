@@ -266,14 +266,14 @@ def _sweep_rho():
 
 
 def cmd_ineq(args):
+    if args.samples < 1:
+        raise ParseError(f"--samples must be at least 1, got {args.samples}")
     if args.suite == "trace":
         summary, violations = _sweep_trace(args.samples, args.seed)
     elif args.suite == "contraction":
         summary, violations = _sweep_contraction(args.samples, args.seed)
-    elif args.suite == "rho":
-        summary, violations = _sweep_rho()
     else:
-        raise ParseError(f"unknown suite {args.suite!r}")
+        summary, violations = _sweep_rho()
     result = {**summary, "violations": violations,
               "violation_count": len(violations)}
     report = {"meta": _meta(args), "graph": None, "results": result}
@@ -345,16 +345,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"heis: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except (ConvergenceError, NumericalError) as exc:
         print(f"heis: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except HeisError as exc:
-        print(f"heis: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as exc:
+    except (HeisError, ValueError) as exc:
         print(f"heis: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -301,6 +301,16 @@ def highest_weight_levels(g, n):
     return np.sort(energies)
 
 
+def _check_highest_weight_budget(V, n):
+    """Raise :class:`SizeBudgetError` above ``SECTOR_BUDGET`` on C(V, n) or above
+    ``DENSE_BUDGET`` on the highest-weight dimension C(V, n) - C(V, n-1)."""
+    check_sector_budget(V, n)
+    dim = math.comb(V, n) - (math.comb(V, n - 1) if n else 0)
+    if dim > DENSE_BUDGET:
+        raise SizeBudgetError(
+            f"highest-weight dim {dim} at n'={n} exceeds dense budget {DENSE_BUDGET}")
+
+
 def labeled_spectra(g, sectors):
     """Spin-labeled spectrum of every sector n in ``sectors``, keyed by n.
 
@@ -319,11 +329,7 @@ def labeled_spectra(g, sectors):
             raise ValueError(f"magnon number {n} out of range")
     top = max((min(n, V - n) for n in sectors), default=-1)
     for m in range(top + 1):
-        check_sector_budget(V, m)
-        dim = math.comb(V, m) - (math.comb(V, m - 1) if m else 0)
-        if dim > DENSE_BUDGET:
-            raise SizeBudgetError(
-                f"highest-weight dim {dim} at n'={m} exceeds dense budget {DENSE_BUDGET}")
+        _check_highest_weight_budget(V, m)
     levels = [highest_weight_levels(g, m) for m in range(top + 1)]
     spectra = {}
     for n in sectors:

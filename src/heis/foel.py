@@ -148,7 +148,7 @@ def _spin_wave_state(g, n):
     one = hamiltonian_magnon(g, 1)
     _, phi = lowest_eig(lambda x: one @ x, lambda x: x - x.mean(axis=0), g.vertex_count,
                         method="dense", tol=None, seed=0)
-    return product_state(phi, n)
+    return product_state(np.column_stack([phi] * n))
 
 
 def foel_check(g, n, strict=False, tol=ENERGY_TOL, method="auto", seed=0):

@@ -86,20 +86,24 @@ def check_sector_budget(vertex_count, n):
         )
 
 
-def product_state(phi, n):
-    """The n-magnon product state with coefficient prod_{x in X} phi[x] at X.
+def product_state(cols):
+    """The n-magnon product state with coefficient prod_k cols[c_k, k] at
+    X = {c_0 < ... < c_{n-1}}, for a (V, n) array ``cols``.
 
     Returned in rank order as a 1-D array over mag(n), built one subset size
     at a time as :meth:`MagnonBasis.array` builds its rows: the colex-ordered
     k-subsets with largest element c are the first C(c, k-1) (k-1)-subsets
-    with c appended, so their coefficients are those times phi[c].  Raises
-    :class:`SizeBudgetError` above ``SECTOR_BUDGET``.
+    with c appended, so their coefficients are those times cols[c, k-1].
+    Raises :class:`ValueError` for n > V and :class:`SizeBudgetError` above
+    ``SECTOR_BUDGET``.
     """
-    V = len(phi)
+    V, n = cols.shape
+    if n > V:
+        raise ValueError(f"magnon number {n} out of range for {V} vertices")
     check_sector_budget(V, n)
     s = np.ones(1)
     for k in range(1, n + 1):
-        s = np.concatenate([s[: math.comb(c, k - 1)] * phi[c]
+        s = np.concatenate([s[: math.comb(c, k - 1)] * cols[c, k - 1]
                             for c in range(k - 1, V - n + k)])
     return s
 
@@ -270,12 +274,16 @@ def highest_weight_basis(g, n):
     This is the orthogonal complement of range(S^-) inside the sector; its
     dimension is C(V,n) - C(V,n-1).  The basis is the thin QR factor of
     :func:`valence_bond_basis`.  For n beyond V/2 the subspace is empty
-    and an empty basis is returned with a warning.
+    and an empty basis is returned with a warning.  The budgets of
+    :func:`heis.eigen.labeled_spectra` are checked before anything dense is built.
     """
     V = g.vertex_count
     if n > V // 2:
         warnings.warn(f"no highest-weight vectors at n={n} for {V} vertices")
         return np.zeros((math.comb(V, n), 0))
+    from .eigen import _check_highest_weight_budget     # eigen imports this module
+
+    _check_highest_weight_budget(V, n)
     return np.linalg.qr(valence_bond_basis(V, n).toarray())[0]
 
 

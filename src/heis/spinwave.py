@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import lambda_spec, make_box, make_lambda
-from .sector import FunctionSpaceIndex, MagnonBasis, hamiltonian_magnon
+from .sector import FunctionSpaceIndex, check_sector_budget, hamiltonian_magnon, product_state
 
 #: Spectral-gap scale: the trial-state energy is GAP_SCALE * L^-2 * sum |kappa|^2.
 GAP_SCALE = math.pi ** 2 / 2.0
@@ -39,15 +40,10 @@ def _profile_column(kappa, points, L):
 
 
 def _distinct_arrangements(modes):
+    """The distinct orderings of the modes, sorted, and prod_k nu(k)!."""
     modes = tuple(tuple(k) for k in modes)
     seen = sorted(set(itertools.permutations(modes)))
-    counts = {}
-    for k in modes:
-        counts[k] = counts.get(k, 0) + 1
-    mult = 1
-    for c in counts.values():
-        mult *= math.factorial(c)
-    return seen, mult
+    return seen, math.factorial(len(modes)) // arrangement_count(modes)
 
 
 def occupation_from_modes(modes):
@@ -64,11 +60,8 @@ def occupations(d, L, n):
 
 def arrangement_count(nu):
     """Number of ordered mode tuples realizing the occupation: n!/prod nu(k)!."""
-    counts = {}
-    for k in nu:
-        counts[k] = counts.get(k, 0) + 1
     total = math.factorial(len(nu))
-    for c in counts.values():
+    for c in Counter(nu).values():
         total //= math.factorial(c)
     return total
 
@@ -94,7 +87,9 @@ def trial_state(d, N, modes):
     The underlying n-particle function uses profile frequencies over the
     ceiling box size and normalization L^(-nd/2) with the floor size; the
     symmetrization sum runs over distinct mode arrangements weighted by the
-    multiplicity of repeats.
+    multiplicity of repeats, one :func:`heis.sector.product_state` of the
+    modes' profile columns per arrangement.  Raises :class:`SizeBudgetError`
+    above ``SECTOR_BUDGET`` before any arrangement is enumerated.
     """
     spec = lambda_spec(d, N)
     modes = tuple(tuple(int(c) for c in k) for k in modes)
@@ -104,18 +99,14 @@ def trial_state(d, N, modes):
             raise ValueError(f"mode {k} has wrong dimension")
         if any(c < 0 or c >= spec.L_plus for c in k):
             raise ValueError(f"mode {k} out of range for L+ = {spec.L_plus}")
+    check_sector_budget(N, n)
     g = make_lambda(d, N)
-    basis = MagnonBasis(g.vertex_count, n)
     arrangements, mult = _distinct_arrangements(modes)
-    cols = [
-        np.column_stack([_profile_column(k, g.points, spec.L_plus) for k in arr])
-        for arr in arrangements
-    ]
+    cols = {k: _profile_column(k, g.points, spec.L_plus) for k in set(modes)}
     norm = spec.L ** (-n * d / 2.0)
     sqrt_fact = math.sqrt(math.factorial(n))
-    sub = basis.array()
-    slots = np.arange(n)
-    total = sum(np.prod(mat[sub, slots], axis=1) for mat in cols)
+    total = sum(product_state(np.column_stack([cols[k] for k in arr]))
+                for arr in arrangements)
     # T applied to the symmetric function: sqrt(n!) * F(X)
     coeffs = sqrt_fact * norm * mult * total
     return TrialState(d=d, N=N, modes=modes, coefficients=coeffs)
@@ -185,21 +176,14 @@ def gram_matrix(d, N, mode_tuples):
 
 
 def gram_limit(mode_tuples):
-    """Large-volume limit of the gram matrix: n! sum over permutation matchings."""
-    k = len(mode_tuples)
-    out = np.zeros((k, k))
-    for i in range(k):
-        a = [tuple(m) for m in mode_tuples[i]]
-        for j in range(k):
-            b = [tuple(m) for m in mode_tuples[j]]
-            if len(a) != len(b):
-                continue
-            n = len(a)
-            total = sum(
-                1 for pi in itertools.permutations(range(n))
-                if all(a[pi[r]] == b[r] for r in range(n))
-            )
-            out[i, j] = math.factorial(n) * total
+    """Large-volume limit of the gram matrix: n! prod_k nu(k)! =
+    (n!)^2 / arrangement_count(nu) between tuples of one occupation nu, else 0."""
+    nus = [occupation_from_modes(modes) for modes in mode_tuples]
+    out = np.zeros((len(nus), len(nus)))
+    for i, a in enumerate(nus):
+        for j, b in enumerate(nus):
+            if a == b:
+                out[i, j] = math.factorial(len(a)) ** 2 // arrangement_count(a)
     return out
 
 

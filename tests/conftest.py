@@ -3,8 +3,10 @@
 The oracles work on the full 2^V product space, applying each bond term of
 the Hamiltonian directly to bitmask basis states (bit x set = spin at x
 flipped down).  The COO assemblies of the sector H and S^- rank subsets by
-binary search in the sorted bitmasks.  No oracle shares code with the
-sector-basis builders it checks.
+binary search in the sorted bitmasks.  The spin-wave oracles gather
+trial states from an explicit subset table and count Gram limits by
+matching permutations.  No oracle shares code with the sector-basis
+builders it checks.
 """
 
 import itertools
@@ -176,6 +178,63 @@ def lower_function(F, vertex_count):
     out = np.zeros((vertex_count,) * (F.ndim + 1))
     for k in range(F.ndim + 1):
         out += np.expand_dims(F, axis=k)
+    return out
+
+
+def trial_state_oracle(d, N, modes):
+    """Spin-wave trial-state coefficients gathered from the subset table.
+
+    Per distinct ordering of the modes, a (C(N, n), n) gather of their
+    profile columns at the :func:`colex` subset rows is multiplied along
+    each row; the sum over orderings is weighted by prod_k nu(k)!, counted
+    here mode by mode, and by sqrt(n!) L^(-nd/2).
+    """
+    from heis.graph import lambda_spec, make_lambda
+    from heis.spinwave import f_profile
+
+    spec = lambda_spec(d, N)
+    points = make_lambda(d, N).points
+    modes = tuple(tuple(k) for k in modes)
+    n = len(modes)
+    counts = {}
+    for k in modes:
+        counts[k] = counts.get(k, 0) + 1
+    mult = 1
+    for c in counts.values():
+        mult *= math.factorial(c)
+
+    def column(kappa):
+        out = np.empty(len(points))
+        for i, p in enumerate(points):
+            v = 1.0
+            for kj, rj in zip(kappa, p):
+                v *= f_profile(kj / spec.L_plus, rj)
+            out[i] = v
+        return out
+
+    sub = np.array(colex(N, n), dtype=np.int64).reshape(-1, n)
+    slots = np.arange(n)
+    total = sum(np.prod(np.column_stack([column(k) for k in arr])[sub, slots], axis=1)
+                for arr in sorted(set(itertools.permutations(modes))))
+    return math.sqrt(math.factorial(n)) * spec.L ** (-n * d / 2.0) * mult * total
+
+
+def gram_limit_oracle(mode_tuples):
+    """n! times the number of permutations matching mode tuple i to tuple j."""
+    k = len(mode_tuples)
+    out = np.zeros((k, k))
+    for i in range(k):
+        a = [tuple(m) for m in mode_tuples[i]]
+        for j in range(k):
+            b = [tuple(m) for m in mode_tuples[j]]
+            if len(a) != len(b):
+                continue
+            n = len(a)
+            total = sum(
+                1 for pi in itertools.permutations(range(n))
+                if all(a[pi[r]] == b[r] for r in range(n))
+            )
+            out[i, j] = math.factorial(n) * total
     return out
 
 

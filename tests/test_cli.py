@@ -221,6 +221,30 @@ def test_spinwave_command(capsys):
     assert rep["results"]["residual"] > 0
 
 
+def test_spinwave_over_budget_fails_fast(capsys):
+    # C(64, 9) ~ 2.8e10 subsets: refused before the modes' orderings are listed
+    start = time.perf_counter()
+    code, out, err = run(capsys, "spinwave", "--d", "1", "--N", "64",
+                         "--modes", "1;2;3;4;5;6;7;8;9")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "budget" in err
+
+
+@pytest.mark.parametrize("suite", ["trace", "contraction", "rho"])
+@pytest.mark.parametrize("samples", ["0", "-7"])
+def test_ineq_samples_below_one_is_an_argument_error(capsys, suite, samples):
+    code, out, err = run(capsys, "ineq", "--suite", suite, "--samples", samples)
+    assert code == 2 and out == ""
+    assert "--samples" in err
+
+
+def test_ineq_unknown_suite_is_an_argument_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ineq", "--suite", "nope"])
+    assert exc.value.code == 2
+
+
 def test_ineq_trace_suite(capsys):
     code, out, _ = run(capsys, "ineq", "--suite", "trace",
                        "--samples", "500")

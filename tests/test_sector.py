@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+import heis.eigen
 from heis.errors import SizeBudgetError
 from heis.graph import Graph, lambda_spec, make_box, make_lambda, make_path, make_ring
 from heis.sector import (
@@ -356,12 +358,18 @@ def test_product_state_matches_the_basis_rows(V, n):
         return
     phi = np.arange(1.0, V + 1.0) * (-1.0) ** np.arange(V)
     rows = MagnonBasis(V, n).array()
-    assert np.array_equal(product_state(phi, n), np.prod(phi[rows], axis=1))
+    assert np.array_equal(product_state(np.tile(phi[:, None], (1, n))),
+                          np.prod(phi[rows], axis=1))
+    # slot k of X = {c_0 < ... < c_{n-1}} reads column k
+    cols = np.arange(1.0, V * n + 1.0).reshape(V, n) % 7 - 3
+    assert np.array_equal(product_state(cols), np.prod(cols[rows, np.arange(n)], axis=1))
 
 
 def test_product_state_budget():
     with pytest.raises(SizeBudgetError):
-        product_state(np.ones(40), 20)
+        product_state(np.ones((40, 20)))
+    with pytest.raises(ValueError, match="out of range"):
+        product_state(np.ones((3, 4)))
 
 
 def test_hamiltonian_above_equator_checks_the_lower_sector_budget():
@@ -532,6 +540,20 @@ def test_highest_weight_orthogonal_to_lowered_states():
         low = lowering_matrix(g, n).toarray()
         assert np.max(np.abs(basis.T @ low)) < 1e-10
         assert basis.shape[1] == math.comb(6, n) - math.comb(6, n - 1)
+
+
+def test_highest_weight_basis_dense_budget(monkeypatch):
+    # path18 at n = 9: a dense (48620, 4862) matrix, 1.9 GB, refused first
+    start = time.perf_counter()
+    with pytest.raises(SizeBudgetError, match="dense budget"):
+        highest_weight_basis(make_path(18), 9)
+    assert time.perf_counter() - start < 1.0
+    # box 3x3 at n = 4 has highest-weight dim 42
+    monkeypatch.setattr(heis.eigen, "DENSE_BUDGET", 41)
+    with pytest.raises(SizeBudgetError):
+        highest_weight_basis(make_box(2, 3), 4)
+    monkeypatch.setattr(heis.eigen, "DENSE_BUDGET", 42)
+    assert highest_weight_basis(make_box(2, 3), 4).shape == (126, 42)
 
 
 def test_highest_weight_above_equator_warns():

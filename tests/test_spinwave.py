@@ -1,9 +1,11 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
+from heis.errors import SizeBudgetError
 from heis.graph import make_box, make_lambda
 from heis.sector import contraction_T_box, hamiltonian_magnon, lowering_matrix
 from heis.spinwave import (
@@ -22,6 +24,7 @@ from heis.spinwave import (
     trial_state,
 )
 from heis.foel import energy_level
+from conftest import gram_limit_oracle, trial_state_oracle
 
 
 # ---------------------------------------------------------------- profiles
@@ -57,6 +60,32 @@ def test_trial_state_mode_permutation_invariance():
     c = trial_state(2, 9, [(1, 0), (0, 1)])
     d = trial_state(2, 9, [(0, 1), (1, 0)])
     assert np.array_equal(c.coefficients, d.coefficients)
+
+
+@pytest.mark.parametrize("d,N,modes", [
+    (1, 12, [(1,), (2,)]),
+    (1, 20, [(2,), (2,), (1,)]),
+    (1, 64, [(1,), (2,), (3,)]),
+    (2, 10, [(0, 1), (1, 0)]),
+    (2, 30, [(1, 0), (1, 0), (1, 1)]),
+    (2, 64, [(1, 0), (0, 1), (1, 1)]),
+    (3, 27, [(1, 1, 0), (0, 0, 1), (0, 0, 1), (0, 0, 1)]),
+    (3, 30, [(1, 0, 0), (0, 1, 0), (1, 0, 0)]),
+])
+def test_trial_state_matches_subset_table_oracle(d, N, modes):
+    got = trial_state(d, N, modes).coefficients
+    assert np.array_equal(got, trial_state_oracle(d, N, modes))
+
+
+def test_trial_state_over_budget_fails_fast():
+    # C(64, 9) ~ 2.8e10 subsets: refused before the 9! orderings are listed
+    modes = [(k,) for k in range(1, 10)]
+    start = time.perf_counter()
+    with pytest.raises(SizeBudgetError):
+        trial_state(1, 64, modes)
+    with pytest.raises(SizeBudgetError):
+        gram_matrix(1, 64, [modes])
+    assert time.perf_counter() - start < 1.0
 
 
 def test_trial_state_mode_out_of_range():
@@ -188,6 +217,18 @@ def test_gram_limit_matchings():
     tuples = [[(0,), (1,)], [(1,), (1,)], [(1,), (2,)]]
     limit = gram_limit(tuples)
     assert np.array_equal(limit, np.diag([2.0, 4.0, 2.0]))
+
+
+@pytest.mark.parametrize("tuples", [
+    [[(1,), (2,)], [(2,), (1,)], [(1,), (1,), (2,)], [(2,), (1,), (1,)],
+     [(3,)], [(1,), (1,), (1,)], []],
+    [[(1, 0), (0, 1)], [(0, 1), (1, 0)], [(1, 0), (1, 0)],
+     [(1, 0), (1, 0), (1, 1)], [(1, 1), (1, 0), (1, 0)]],
+    [[(1, 0, 0), (0, 1, 0), (1, 0, 0), (0, 0, 2)],
+     [(0, 0, 2), (1, 0, 0), (1, 0, 0), (0, 1, 0)], [(1, 0, 0), (0, 1, 0)]],
+], ids=["d1", "d2", "d3"])
+def test_gram_limit_matches_permutation_oracle(tuples):
+    assert np.array_equal(gram_limit(tuples), gram_limit_oracle(tuples))
 
 
 def test_energy_asymptotics_towards_gap_scale():
