@@ -72,11 +72,17 @@ class SpinLabeledSpectrum:
         return [e.energy for e in self.entries if e.n_prime == n_prime]
 
 
+def _run_bounds(values, tol=DEGENERACY_TOL):
+    """Start index of every run of an ascending array whose consecutive gaps
+    are at most ``tol``, followed by the array's length."""
+    gaps = np.diff(np.asarray(values, dtype=float), prepend=-np.inf, append=np.inf)
+    return np.flatnonzero(gaps > tol)
+
+
 def degenerate_runs(values, tol=DEGENERACY_TOL):
     """(start, stop) index pairs of the runs of an ascending array whose
     consecutive gaps are at most ``tol``."""
-    gaps = np.diff(np.asarray(values, dtype=float), prepend=-np.inf, append=np.inf)
-    bounds = np.flatnonzero(gaps > tol).tolist()
+    bounds = _run_bounds(values, tol).tolist()
     return list(zip(bounds[:-1], bounds[1:]))
 
 
@@ -261,14 +267,20 @@ def label_spins(g, n, eig, tol=1e-8):
 def _spin_entries(values, labels):
     """One :class:`SpinLabel` per label of each :func:`degenerate_runs` run
     of the ascending ``values``: the run's mean energy, labels ascending,
-    multiplicity the label's count in the run."""
-    entries = []
-    for i, j in degenerate_runs(values):
-        energy = float(np.mean(values[i:j]))
-        for lab, count in zip(*np.unique(labels[i:j], return_counts=True)):
-            entries.append(SpinLabel(energy=energy, n_prime=int(lab),
-                                     multiplicity=int(count)))
-    return entries
+    multiplicity the label's count in the run.
+
+    One pass: the (run, label) pairs are counted by one ``np.unique`` over
+    run (max label + 1) + label, and the run means come from one reduction.
+    """
+    bounds = _run_bounds(values)
+    sizes = np.diff(bounds)
+    means = np.add.reduceat(values, bounds[:-1]) / sizes
+    width = int(labels.max(initial=0)) + 1
+    keys, counts = np.unique(np.repeat(np.arange(len(sizes)), sizes) * width + labels,
+                             return_counts=True)
+    runs, labs = np.divmod(keys, width)
+    return [SpinLabel(energy=e, n_prime=lab, multiplicity=c)
+            for e, lab, c in zip(means[runs].tolist(), labs.tolist(), counts.tolist())]
 
 
 def highest_weight_levels(g, n):
@@ -278,18 +290,19 @@ def highest_weight_levels(g, n):
     (:func:`heis.sector.valence_bond_basis`).  B^T B is ill-conditioned
     (condition number 6.6e5 on ring12 at n = 6), so each level is reported
     as the Rayleigh quotient of y = Bx on the sector Hamiltonian, built in
-    column blocks of y.  Raises :class:`NumericalError` when a relative
-    residual ||Hy - Ey|| / ||y|| exceeds ``RESIDUAL_TOL``.  The budgets are
-    the caller's to check (see :func:`labeled_spectra`).
+    column blocks of y, with Hy applied by H itself.  Raises
+    :class:`NumericalError` when a relative residual ||Hy - Ey|| / ||y||
+    exceeds ``RESIDUAL_TOL``.  The budgets are the caller's to check (see
+    :func:`labeled_spectra`).
     """
     H = hamiltonian_magnon(g, n)
     B = valence_bond_basis(g.vertex_count, n)
-    HB = (H @ B).tocsc()                # B.T is CSC: B.T @ HB stays in one format
-    _, X = scipy.linalg.eigh((B.T @ HB).toarray(), (B.T @ B).toarray())
+    _, X = scipy.linalg.eigh((B.T @ (H @ B)).toarray(), (B.T @ B).toarray())
     energies = np.empty(X.shape[1])
     width = max(1, _BLOCK_ENTRIES // H.shape[0])
     for i in range(0, X.shape[1], width):
-        Y, HY = B @ X[:, i:i + width], HB @ X[:, i:i + width]
+        Y = B @ X[:, i:i + width]
+        HY = H @ Y
         norms = np.linalg.norm(Y, axis=0)
         e = np.einsum("ij,ij->j", Y, HY) / norms ** 2
         res = np.linalg.norm(HY - Y * e, axis=0) / norms
@@ -318,10 +331,12 @@ def labeled_spectra(g, sectors):
     n' <= min(n, V - n) (its S^- descendant), so its spectrum is the union of
     those :func:`highest_weight_levels`, each level labeled n' by
     construction, grouped as in :func:`label_spins`.  Each highest-weight
-    spectrum is solved once for all sectors.  Every budget of every n' is
-    checked before the first solve: ``SECTOR_BUDGET`` on C(V, n') and
-    ``DENSE_BUDGET`` on the highest-weight dimension C(V, n') - C(V, n'-1).
-    The entries carry no vectors.
+    spectrum is solved once for all sectors, and the entries are grouped
+    once per m = min(n, V - n): sectors n and V - n get distinct spectra
+    and entry lists that hold the same :class:`SpinLabel` objects.  Every
+    budget of every n' is checked before the first solve: ``SECTOR_BUDGET``
+    on C(V, n') and ``DENSE_BUDGET`` on the highest-weight dimension
+    C(V, n') - C(V, n'-1).  The entries carry no vectors.
     """
     V = g.vertex_count
     for n in sectors:
@@ -331,11 +346,11 @@ def labeled_spectra(g, sectors):
     for m in range(top + 1):
         _check_highest_weight_budget(V, m)
     levels = [highest_weight_levels(g, m) for m in range(top + 1)]
-    spectra = {}
-    for n in sectors:
-        parts = levels[:min(n, V - n) + 1]
+    entries = {}
+    for m in {min(n, V - n) for n in sectors}:
+        parts = levels[:m + 1]
         values = np.concatenate(parts)
-        labels = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
+        labels = np.repeat(np.arange(m + 1), [len(p) for p in parts])
         order = np.argsort(values, kind="stable")
-        spectra[n] = SpinLabeledSpectrum(entries=_spin_entries(values[order], labels[order]))
-    return spectra
+        entries[m] = _spin_entries(values[order], labels[order])
+    return {n: SpinLabeledSpectrum(entries=list(entries[min(n, V - n)])) for n in sectors}

@@ -14,8 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SizeBudgetError
 from .graph import lambda_spec, make_box, make_lambda
-from .sector import FunctionSpaceIndex, check_sector_budget, hamiltonian_magnon, product_state
+from .sector import (
+    FUNCTION_SPACE_BUDGET,
+    FunctionSpaceIndex,
+    check_sector_budget,
+    hamiltonian_magnon,
+    product_state,
+)
 
 #: Spectral-gap scale: the trial-state energy is GAP_SCALE * L^-2 * sum |kappa|^2.
 GAP_SCALE = math.pi ** 2 / 2.0
@@ -40,10 +47,25 @@ def _profile_column(kappa, points, L):
 
 
 def _distinct_arrangements(modes):
-    """The distinct orderings of the modes, sorted, and prod_k nu(k)!."""
-    modes = tuple(tuple(k) for k in modes)
-    seen = sorted(set(itertools.permutations(modes)))
-    return seen, math.factorial(len(modes)) // arrangement_count(modes)
+    """The distinct orderings of the modes, sorted, and prod_k nu(k)!.
+
+    The orderings are listed by lexicographic next-permutation steps from
+    the sorted modes, so each is made once and no other is made.
+    """
+    arr = sorted(tuple(k) for k in modes)
+    out = [tuple(arr)]
+    while True:
+        i = len(arr) - 2
+        while i >= 0 and arr[i] >= arr[i + 1]:
+            i -= 1
+        if i < 0:
+            return out, math.factorial(len(arr)) // arrangement_count(arr)
+        j = len(arr) - 1
+        while arr[j] <= arr[i]:
+            j -= 1
+        arr[i], arr[j] = arr[j], arr[i]
+        arr[i + 1:] = arr[:i:-1]
+        out.append(tuple(arr))
 
 
 def occupation_from_modes(modes):
@@ -89,7 +111,10 @@ def trial_state(d, N, modes):
     symmetrization sum runs over distinct mode arrangements weighted by the
     multiplicity of repeats, one :func:`heis.sector.product_state` of the
     modes' profile columns per arrangement.  Raises :class:`SizeBudgetError`
-    above ``SECTOR_BUDGET`` before any arrangement is enumerated.
+    before any arrangement is enumerated above ``SECTOR_BUDGET`` on
+    C(N, n), or when the sum's work, :func:`arrangement_count` times
+    C(N, n), exceeds ``FUNCTION_SPACE_BUDGET``: the sum runs over ordered
+    n-tuples of distinct sites.
     """
     spec = lambda_spec(d, N)
     modes = tuple(tuple(int(c) for c in k) for k in modes)
@@ -100,6 +125,11 @@ def trial_state(d, N, modes):
         if any(c < 0 or c >= spec.L_plus for c in k):
             raise ValueError(f"mode {k} out of range for L+ = {spec.L_plus}")
     check_sector_budget(N, n)
+    orderings = arrangement_count(modes)
+    if orderings * math.comb(N, n) > FUNCTION_SPACE_BUDGET:
+        raise SizeBudgetError(
+            f"trial state sums {orderings} orderings over C({N},{n}) subsets, above "
+            f"the function-space budget {FUNCTION_SPACE_BUDGET}")
     g = make_lambda(d, N)
     arrangements, mult = _distinct_arrangements(modes)
     cols = {k: _profile_column(k, g.points, spec.L_plus) for k in set(modes)}

@@ -5,7 +5,8 @@ the Hamiltonian directly to bitmask basis states (bit x set = spin at x
 flipped down).  The COO assemblies of the sector H and S^- rank subsets by
 binary search in the sorted bitmasks.  The spin-wave oracles gather
 trial states from an explicit subset table and count Gram limits by
-matching permutations.  No oracle shares code with the sector-basis
+matching permutations.  Spin-labelled entries are grouped by a per-run
+loop.  No oracle shares code with the sector-basis
 builders it checks.
 """
 
@@ -166,6 +167,23 @@ def product_level(g, n):
 def spectral_count(mat, energy, tol=1e-8):
     """Number of eigenvalues of the dense symmetric ``mat`` at most ``energy + tol``."""
     return int(np.sum(np.linalg.eigvalsh(mat) <= energy + tol))
+
+
+def spin_entries_loop(values, labels, tol):
+    """(energy, n', multiplicity) per label of each degenerate run, run by run.
+
+    A run of the ascending ``values`` continues while consecutive gaps are
+    at most ``tol`` (found by a Python walk); each run reports ``np.mean`` of
+    its values and the ``np.unique`` labels and counts of its slice.
+    """
+    bounds = [0] + [i for i in range(1, len(values))
+                    if values[i] - values[i - 1] > tol] + [len(values)]
+    out = []
+    for i, j in zip(bounds[:-1], bounds[1:]):
+        energy = float(np.mean(values[i:j]))
+        for lab, count in zip(*np.unique(labels[i:j], return_counts=True)):
+            out.append((energy, int(lab), int(count)))
+    return out
 
 
 def lower_function(F, vertex_count):

@@ -14,8 +14,10 @@ from heis.sector import (
     valence_bond_basis,
 )
 from heis.eigen import (
+    DEGENERACY_TOL,
     DENSE_BUDGET,
     EigResult,
+    _spin_entries,
     degenerate_runs,
     full_spectrum,
     label_spins,
@@ -23,7 +25,13 @@ from heis.eigen import (
     lowest_eig,
     min_eig,
 )
-from conftest import product_casimir, product_hamiltonian, project_sector, spectral_count
+from conftest import (
+    product_casimir,
+    product_hamiltonian,
+    project_sector,
+    spectral_count,
+    spin_entries_loop,
+)
 
 
 def test_full_spectrum_grid():
@@ -276,6 +284,48 @@ def test_clustered_spectrum_grouping():
     assert sorted(labeled.labels[:3]) == [0, 1, 1]
 
 
+def _assert_entries_match_loop(values, labels):
+    values, labels = np.asarray(values, dtype=float), np.asarray(labels)
+    got = _spin_entries(values, labels)
+    want = spin_entries_loop(values, labels, DEGENERACY_TOL)
+    assert [(e.n_prime, e.multiplicity) for e in got] == [(lab, c) for _, lab, c in want]
+    for e, (energy, _, _) in zip(got, want):
+        assert abs(e.energy - energy) <= 4 * np.spacing(abs(energy))
+    return got
+
+
+def test_spin_entries_gap_at_the_tolerance():
+    t = DEGENERACY_TOL
+    # gaps of exactly t stay in the run (2t - t is exact)
+    values = np.array([0.0, t, 2 * t])
+    assert np.all(np.diff(values) == t)
+    got = _assert_entries_match_loop(values, [1, 0, 1])
+    assert [(e.n_prime, e.multiplicity) for e in got] == [(0, 1), (1, 2)]
+    assert [e.energy for e in got] == pytest.approx([t, t], rel=1e-15)
+    # one ulp above t splits it
+    values = np.array([0.0, np.nextafter(t, np.inf)])
+    got = _assert_entries_match_loop(values, [1, 1])
+    assert [(e.energy, e.multiplicity) for e in got] == [(0.0, 1), (values[1], 1)]
+
+
+def test_spin_entries_match_the_per_run_loop(rng):
+    # runs of length 1 and 12 (np.mean sums 8 or more terms in eight
+    # partial sums, another order than the one-pass reduction), labels out
+    # of order inside a run
+    long_run = 0.7 + 0.5e-9 * np.arange(12)
+    values = np.concatenate([[0.1], long_run, [0.9], 1.3 + 1e-9 * np.arange(3)])
+    labels = [0, 3, 1, 2, 1, 0, 3, 3, 1, 2, 0, 1, 2, 4, 2, 0, 2]
+    got = _assert_entries_match_loop(values, labels)
+    assert [(e.n_prime, e.multiplicity) for e in got][:6] == [
+        (0, 1), (0, 2), (1, 4), (2, 3), (3, 3), (4, 1)]
+    _assert_entries_match_loop([2.5], [3])
+    # clustered random spectra: near-degenerate runs amid distinct levels
+    for _ in range(20):
+        values = np.repeat(rng.uniform(0, 4, 40), rng.integers(1, 12, 40))
+        values = np.sort(values + rng.uniform(0, 2e-9, len(values)))
+        _assert_entries_match_loop(values, rng.integers(0, 7, len(values)))
+
+
 def test_label_spins_casimir_accuracy():
     from heis.sector import casimir_magnon
     g = make_lambda(2, 6)
@@ -369,6 +419,16 @@ def test_labeled_spectra_match_product_space_oracle(g):
         assert {e.n_prime for e in entries} == set(range(min(n, V - n) + 1))
         for m in range(min(n, V - n) + 1):
             assert np.allclose(_label_energies(entries, m), oracle[m], rtol=0, atol=1e-10)
+
+
+def test_labeled_spectra_mirror_sectors_are_equal_and_distinct():
+    g = make_ring(8)
+    V = g.vertex_count
+    spectra = labeled_spectra(g, range(V + 1))
+    for n in range(V // 2):
+        a, b = spectra[n], spectra[V - n]
+        assert a.entries == b.entries
+        assert a is not b and a.entries is not b.entries
 
 
 def test_labeled_spectra_rejects_large_residuals(monkeypatch):

@@ -1,15 +1,23 @@
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from heis.errors import SizeBudgetError
 from heis.graph import make_box, make_lambda
-from heis.sector import contraction_T_box, hamiltonian_magnon, lowering_matrix
+from heis.sector import (
+    FUNCTION_SPACE_BUDGET,
+    SECTOR_BUDGET,
+    contraction_T_box,
+    hamiltonian_magnon,
+    lowering_matrix,
+)
 from heis.spinwave import (
     GAP_SCALE,
+    _distinct_arrangements,
     arrangement_count,
     bose_basis,
     bose_energy,
@@ -86,6 +94,37 @@ def test_trial_state_over_budget_fails_fast():
     with pytest.raises(SizeBudgetError):
         gram_matrix(1, 64, [modes])
     assert time.perf_counter() - start < 1.0
+
+
+def test_trial_state_over_work_cap_fails_fast():
+    # C(20, 10) fits the sector budget, but 10 distinct modes have 10!
+    # orderings: 3.6M products of a 184756-entry state
+    modes = [(k,) for k in range(1, 11)]
+    assert math.comb(20, 10) <= SECTOR_BUDGET
+    assert arrangement_count(modes) * math.comb(20, 10) > FUNCTION_SPACE_BUDGET
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeBudgetError, match="function-space budget"):
+            trial_state(1, 20, modes)
+        with pytest.raises(SizeBudgetError, match="function-space budget"):
+            gram_matrix(1, 20, [modes])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 1 << 20           # one C(20, 10) state is 1.5 MB
+
+
+@pytest.mark.parametrize("modes", [
+    [], [(1,)], [(2,), (1,), (2,)], [(3,), (1,), (2,), (0,)],
+    [(1, 0), (0, 1), (1, 0), (1, 1), (0, 1)], [(0,)] * 5,
+])
+def test_distinct_arrangements_are_the_sorted_distinct_permutations(modes):
+    arrangements, mult = _distinct_arrangements(modes)
+    want = sorted(set(itertools.permutations(tuple(modes))))
+    assert arrangements == want
+    assert mult == math.factorial(len(modes)) // len(want)
 
 
 def test_trial_state_mode_out_of_range():
