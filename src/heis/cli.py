@@ -25,7 +25,7 @@ from . import __version__
 from .errors import ConvergenceError, HeisError, NumericalError, ParseError
 from .graph import load_graph, make_box, make_lambda, make_path, make_ring
 from .eigen import labeled_spectra
-from .foel import energy_level, foel_check, induction_run
+from .foel import ENERGY_TOL, energy_level, foel_check, induction_run
 from .spinwave import (
     _residual,
     bose_energy,
@@ -294,7 +294,7 @@ def build_parser():
     def common(p):
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--tol", type=float, default=ENERGY_TOL)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--method", choices=("auto", "dense", "krylov"),
                        default="auto")

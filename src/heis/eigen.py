@@ -10,16 +10,14 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
-from .errors import ConvergenceError, LabelingError, NumericalError, SizeBudgetError
+from .errors import ConvergenceError, LabelingError, NumericalError
 from .sector import (
     casimir_magnon,
-    check_sector_budget,
+    check_dense_budget,
+    check_highest_weight_budget,
     hamiltonian_magnon,
     valence_bond_basis,
 )
-
-#: Largest dimension handed to a dense eigensolver.
-DENSE_BUDGET = 4096
 
 #: Largest dimension that :func:`lowest_eig` solves densely under
 #: ``method="auto"`` (measured dense/ARPACK crossover: 220-250).
@@ -95,17 +93,13 @@ def _as_csr(op):
 def full_spectrum(op, with_vectors=True):
     """All eigenvalues (and optionally vectors) of a symmetric operator.
 
-    Dense path only; raises :class:`SizeBudgetError` above ``DENSE_BUDGET``
+    Dense path only; raises :class:`SizeBudgetError` above ``sector.DENSE_BUDGET``
     (use :func:`min_eig` with the Krylov method for extremal values there).
     """
     mat = _as_csr(op)
-    dim = mat.shape[0]
     if mat.shape[0] != mat.shape[1]:
         raise ValueError("full_spectrum needs a square operator")
-    if dim > DENSE_BUDGET:
-        raise SizeBudgetError(
-            f"dim {dim} exceeds dense budget {DENSE_BUDGET}; use the krylov path"
-        )
+    check_dense_budget(mat.shape[0])
     dense = mat.toarray()
     if with_vectors:
         vals, vecs = np.linalg.eigh(dense)
@@ -132,7 +126,7 @@ def lowest_eig(apply, project, dim, method, tol, seed, start=None):
     ``dim`` below 1 raises ``ValueError`` before either callable is called.
     ``method="auto"`` is dense at or below ``DENSE_CUTOFF`` and ARPACK above.
     The dense solve (also for dim 1, which ARPACK cannot take) raises
-    :class:`SizeBudgetError` above ``DENSE_BUDGET`` first, then builds A in
+    :class:`SizeBudgetError` above ``sector.DENSE_BUDGET`` first, then builds A in
     one pass over column blocks of the identity of ``_DENSE_BLOCK_ENTRIES``
     entries, so the projector's temporaries stay a block wide.
 
@@ -153,9 +147,8 @@ def lowest_eig(apply, project, dim, method, tol, seed, start=None):
     if dim < 1:
         raise ValueError(f"no lowest eigenpair on a space of dimension {dim}")
     dense = method == "dense" or dim < 2
-    if dense and dim > DENSE_BUDGET:
-        raise SizeBudgetError(
-            f"dim {dim} exceeds dense budget {DENSE_BUDGET}; use the krylov path")
+    if dense:
+        check_dense_budget(dim)
     v0 = project(np.random.default_rng(seed).standard_normal(dim))
     if start is not None and not dense:
         s = start()
@@ -292,11 +285,11 @@ def highest_weight_levels(g, n):
     as the Rayleigh quotient of y = Bx on the sector Hamiltonian, built in
     column blocks of y, with Hy applied by H itself.  Raises
     :class:`NumericalError` when a relative residual ||Hy - Ey|| / ||y||
-    exceeds ``RESIDUAL_TOL``.  The budgets are the caller's to check (see
-    :func:`labeled_spectra`).
+    exceeds ``RESIDUAL_TOL``.  B is built first: its budget check comes
+    before any sector-sized array.
     """
-    H = hamiltonian_magnon(g, n)
     B = valence_bond_basis(g.vertex_count, n)
+    H = hamiltonian_magnon(g, n)
     _, X = scipy.linalg.eigh((B.T @ (H @ B)).toarray(), (B.T @ B).toarray())
     energies = np.empty(X.shape[1])
     width = max(1, _BLOCK_ENTRIES // H.shape[0])
@@ -314,16 +307,6 @@ def highest_weight_levels(g, n):
     return np.sort(energies)
 
 
-def _check_highest_weight_budget(V, n):
-    """Raise :class:`SizeBudgetError` above ``SECTOR_BUDGET`` on C(V, n) or above
-    ``DENSE_BUDGET`` on the highest-weight dimension C(V, n) - C(V, n-1)."""
-    check_sector_budget(V, n)
-    dim = math.comb(V, n) - (math.comb(V, n - 1) if n else 0)
-    if dim > DENSE_BUDGET:
-        raise SizeBudgetError(
-            f"highest-weight dim {dim} at n'={n} exceeds dense budget {DENSE_BUDGET}")
-
-
 def labeled_spectra(g, sectors):
     """Spin-labeled spectrum of every sector n in ``sectors``, keyed by n.
 
@@ -335,7 +318,7 @@ def labeled_spectra(g, sectors):
     once per m = min(n, V - n): sectors n and V - n get distinct spectra
     and entry lists that hold the same :class:`SpinLabel` objects.  Every
     budget of every n' is checked before the first solve: ``SECTOR_BUDGET``
-    on C(V, n') and ``DENSE_BUDGET`` on the highest-weight dimension
+    on C(V, n') and ``sector.DENSE_BUDGET`` on the highest-weight dimension
     C(V, n') - C(V, n'-1).  The entries carry no vectors.
     """
     V = g.vertex_count
@@ -344,7 +327,7 @@ def labeled_spectra(g, sectors):
             raise ValueError(f"magnon number {n} out of range")
     top = max((min(n, V - n) for n in sectors), default=-1)
     for m in range(top + 1):
-        _check_highest_weight_budget(V, m)
+        check_highest_weight_budget(V, m)
     levels = [highest_weight_levels(g, m) for m in range(top + 1)]
     entries = {}
     for m in {min(n, V - n) for n in sectors}:

@@ -167,7 +167,7 @@ def _lattice_graph(points, d):
     """Graph induced on ``points`` by nearest-neighbor adjacency in Z^d."""
     points = sorted(points)
     if len(points) > MAX_VERTICES:
-        raise SizeBudgetError(f"{len(points)} vertices exceed MAX_VERTICES")
+        raise SizeBudgetError(f"{len(points)} vertices exceed MAX_VERTICES {MAX_VERTICES}")
     pos = {p: i for i, p in enumerate(points)}
     edges = []
     for p, i in pos.items():
@@ -191,7 +191,7 @@ def make_box(d, L):
     if d < 1 or L < 1:
         raise ValueError("d and L must be positive")
     if L ** d > MAX_VERTICES:
-        raise SizeBudgetError(f"box {L}^{d} exceeds MAX_VERTICES")
+        raise SizeBudgetError(f"box {L}^{d}: {L ** d} vertices exceed MAX_VERTICES {MAX_VERTICES}")
     return _lattice_graph(itertools.product(range(1, L + 1), repeat=d), d)
 
 

@@ -21,12 +21,16 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import SizeBudgetError
+from .graph import lambda_spec, make_box, make_lambda
 
 #: Cap on |V|**n for operators living on the full n-particle function space.
 FUNCTION_SPACE_BUDGET = 1 << 21
 
 #: Cap on the sector dimension C(V, n) of every array built over a magnon sector.
 SECTOR_BUDGET = 1 << 18
+
+#: Cap on the dimension of every matrix handed to a dense eigensolver.
+DENSE_BUDGET = 4096
 
 
 class MagnonBasis:
@@ -77,13 +81,34 @@ class MagnonBasis:
         return self._weights[sub, np.arange(self.n)].sum(axis=1)
 
 
+def _check_budget(what, size, cap, budget):
+    """Raise :class:`SizeBudgetError`, naming ``size`` and ``cap``, when ``size`` > ``cap``."""
+    if size > cap:
+        raise SizeBudgetError(f"{what} {size} exceeds the {budget} budget {cap}")
+
+
 def check_sector_budget(vertex_count, n):
     """Raise :class:`SizeBudgetError` when C(vertex_count, n) exceeds ``SECTOR_BUDGET``."""
-    dim = math.comb(vertex_count, n)
-    if dim > SECTOR_BUDGET:
-        raise SizeBudgetError(
-            f"sector C({vertex_count},{n}) = {dim} exceeds the sector budget {SECTOR_BUDGET}"
-        )
+    _check_budget(f"sector C({vertex_count},{n}) =", math.comb(vertex_count, n),
+                  SECTOR_BUDGET, "sector")
+
+
+def check_highest_weight_budget(vertex_count, n):
+    """Raise :class:`SizeBudgetError` above ``SECTOR_BUDGET`` on C(V, n) or above
+    ``DENSE_BUDGET`` on the highest-weight dimension C(V, n) - C(V, n-1)."""
+    check_sector_budget(vertex_count, n)
+    dim = math.comb(vertex_count, n) - (math.comb(vertex_count, n - 1) if n else 0)
+    _check_budget(f"at n'={n} the highest-weight dim", dim, DENSE_BUDGET, "dense")
+
+
+def check_dense_budget(dim):
+    """Raise :class:`SizeBudgetError` when a dense solve's ``dim`` exceeds ``DENSE_BUDGET``."""
+    _check_budget("dense solve of dim", dim, DENSE_BUDGET, "dense")
+
+
+def check_function_space_budget(what, size):
+    """Raise :class:`SizeBudgetError` when ``size`` exceeds ``FUNCTION_SPACE_BUDGET``."""
+    _check_budget(f"{what} =", size, FUNCTION_SPACE_BUDGET, "function-space")
 
 
 def product_state(cols):
@@ -115,8 +140,7 @@ class FunctionSpaceIndex:
         self.vertex_count = vertex_count
         self.n = n
         self.dim = vertex_count ** n
-        if self.dim > FUNCTION_SPACE_BUDGET:
-            raise SizeBudgetError(f"|V|^n = {self.dim} exceeds function-space budget")
+        check_function_space_budget(f"function space |V|^n = {vertex_count}^{n}", self.dim)
 
     def encode(self, tup):
         idx = 0
@@ -274,16 +298,13 @@ def highest_weight_basis(g, n):
     This is the orthogonal complement of range(S^-) inside the sector; its
     dimension is C(V,n) - C(V,n-1).  The basis is the thin QR factor of
     :func:`valence_bond_basis`.  For n beyond V/2 the subspace is empty
-    and an empty basis is returned with a warning.  The budgets of
-    :func:`heis.eigen.labeled_spectra` are checked before anything dense is built.
+    and an empty basis is returned with a warning.  The budgets are those of
+    :func:`valence_bond_basis`, checked before anything dense is built.
     """
     V = g.vertex_count
     if n > V // 2:
         warnings.warn(f"no highest-weight vectors at n={n} for {V} vertices")
         return np.zeros((math.comb(V, n), 0))
-    from .eigen import _check_highest_weight_budget     # eigen imports this module
-
-    _check_highest_weight_budget(V, n)
     return np.linalg.qr(valence_bond_basis(V, n).toarray())[0]
 
 
@@ -300,12 +321,13 @@ def valence_bond_basis(vertex_count, n):
     C(V,n) - C(V,n-1) columns are independent but not orthogonal.
 
     Returned as a (C(V,n), C(V,n) - C(V,n-1)) CSR matrix.  It depends on the
-    vertex count only.  Raises :class:`SizeBudgetError` above
-    ``SECTOR_BUDGET``.
+    vertex count only.  :func:`check_highest_weight_budget` runs before
+    anything is built.
     """
     V = vertex_count
     if not 0 <= n <= V // 2:
         raise ValueError(f"no highest-weight vectors at n={n} for {V} vertices")
+    check_highest_weight_budget(V, n)
     basis = MagnonBasis(V, n)
     sub = basis.array()
     down = sub[(sub >= 2 * np.arange(n) + 1).all(axis=1)]
@@ -393,10 +415,9 @@ def free_laplacian(g, n):
     particle at a time hops along an edge of g.
     """
     V = g.vertex_count
-    if V ** n > FUNCTION_SPACE_BUDGET:
-        raise SizeBudgetError(f"|V|^n = {V ** n} exceeds function-space budget")
+    dim = FunctionSpaceIndex(V, n).dim          # checks FUNCTION_SPACE_BUDGET
     one = hamiltonian_magnon(g, 1)              # the one-particle Laplacian
-    total = sp.csr_matrix((V ** n, V ** n))
+    total = sp.csr_matrix((dim, dim))
     for k in range(n):
         left = sp.identity(V ** k, format="csr")
         right = sp.identity(V ** (n - k - 1), format="csr")
@@ -442,8 +463,6 @@ def contraction_T_box(d, N, n):
     state at {x_1..x_n}; only tuples of distinct points of the N-vertex
     lattice graph count.  At d = 1 the box is the N-vertex path.
     """
-    from .graph import lambda_spec, make_box, make_lambda
-
     box = make_box(d, lambda_spec(d, N).L_plus)
     lam = make_lambda(d, N)
     box_pos = {p: i for i, p in enumerate(box.points)}

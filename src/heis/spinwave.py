@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SizeBudgetError
 from .graph import lambda_spec, make_box, make_lambda
 from .sector import (
-    FUNCTION_SPACE_BUDGET,
     FunctionSpaceIndex,
+    check_function_space_budget,
     check_sector_budget,
     hamiltonian_magnon,
     product_state,
@@ -126,10 +125,8 @@ def trial_state(d, N, modes):
             raise ValueError(f"mode {k} out of range for L+ = {spec.L_plus}")
     check_sector_budget(N, n)
     orderings = arrangement_count(modes)
-    if orderings * math.comb(N, n) > FUNCTION_SPACE_BUDGET:
-        raise SizeBudgetError(
-            f"trial state sums {orderings} orderings over C({N},{n}) subsets, above "
-            f"the function-space budget {FUNCTION_SPACE_BUDGET}")
+    check_function_space_budget(f"trial-state sum of {orderings} orderings x C({N},{n}) subsets",
+                                orderings * math.comb(N, n))
     g = make_lambda(d, N)
     arrangements, mult = _distinct_arrangements(modes)
     cols = {k: _profile_column(k, g.points, spec.L_plus) for k in set(modes)}

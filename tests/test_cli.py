@@ -9,6 +9,7 @@ from scipy.sparse.linalg import ArpackError
 import heis.cli
 import heis.eigen
 import heis.foel
+import heis.sector
 from heis.cli import main, parse_graph_spec, parse_modes
 from heis.errors import ParseError
 from heis.graph import make_box, make_lambda, make_ring
@@ -132,7 +133,7 @@ def test_spectrum_oversized_sector_fails_fast(capsys):
 def test_spectrum_reaches_past_dense_budget(capsys, monkeypatch):
     # ring10 sector 5 has dim 252 and highest-weight dims 1, 9, 35, 75, 90, 42
     _, want, _ = run(capsys, "spectrum", "--graph", "ring:L=10", "--sector", "5")
-    monkeypatch.setattr(heis.eigen, "DENSE_BUDGET", 100)
+    monkeypatch.setattr(heis.sector, "DENSE_BUDGET", 100)
     code, got, _ = run(capsys, "spectrum", "--graph", "ring:L=10", "--sector", "5")
     assert code == 0
     assert got == want

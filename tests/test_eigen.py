@@ -6,16 +6,17 @@ import scipy.linalg
 import scipy.sparse
 
 import heis.eigen
+import heis.sector
 from heis.errors import LabelingError, NumericalError, SizeBudgetError
 from heis.graph import Graph, make_box, make_lambda, make_path, make_ring
 from heis.sector import (
+    DENSE_BUDGET,
     hamiltonian_magnon,
     lowering_matrix,
     valence_bond_basis,
 )
 from heis.eigen import (
     DEGENERACY_TOL,
-    DENSE_BUDGET,
     EigResult,
     _spin_entries,
     degenerate_runs,
@@ -448,7 +449,7 @@ def test_labeled_spectra_check_budgets_before_solving(monkeypatch):
     # highest-weight dims at n' = 0..3 of 40 vertices: 1, 39, 740, 9100
     with pytest.raises(SizeBudgetError, match="highest-weight dim 9100"):
         labeled_spectra(make_path(40), [0, 37])
-    monkeypatch.setattr(heis.eigen, "DENSE_BUDGET", 1 << 40)
+    monkeypatch.setattr(heis.sector, "DENSE_BUDGET", 1 << 40)
     with pytest.raises(SizeBudgetError, match="sector budget"):
         labeled_spectra(make_path(40), [20])
     with pytest.raises(ValueError):

@@ -178,10 +178,11 @@ def test_lambda_size_property(d, N):
 
 def test_box_size_guard():
     from heis.errors import SizeBudgetError
-    with pytest.raises(SizeBudgetError):
-        make_box(1, (1 << 20) + 1)
-    with pytest.raises(SizeBudgetError):
-        make_box(3, 128)
+    # the message names the vertex count and the cap
+    for L, d in (((1 << 20) + 1, 1), (128, 3)):
+        with pytest.raises(SizeBudgetError,
+                           match=f" {L ** d} vertices exceed MAX_VERTICES {1 << 20}$"):
+            make_box(d, L)
 
 
 def test_generators_deterministic():

@@ -8,10 +8,13 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-import heis.eigen
+import heis.sector
+from heis.eigen import full_spectrum, highest_weight_levels, lowest_eig
 from heis.errors import SizeBudgetError
 from heis.graph import Graph, lambda_spec, make_box, make_lambda, make_path, make_ring
 from heis.sector import (
+    DENSE_BUDGET,
+    FUNCTION_SPACE_BUDGET,
     SECTOR_BUDGET,
     FunctionSpaceIndex,
     MagnonBasis,
@@ -26,6 +29,7 @@ from heis.sector import (
     product_state,
     valence_bond_basis,
 )
+from heis.spinwave import trial_state
 from conftest import (
     colex,
     colex_rank,
@@ -548,11 +552,29 @@ def test_highest_weight_basis_dense_budget(monkeypatch):
     with pytest.raises(SizeBudgetError, match="dense budget"):
         highest_weight_basis(make_path(18), 9)
     assert time.perf_counter() - start < 1.0
+    # the valence-bond basis checks its own budget: highest-weight dims 16796
+    # (n = 10 of 20) and 4862 (n = 9 of 18) would be 17.2M and 2.5M entries,
+    # and highest_weight_levels builds it before the sector Hamiltonian
+    g = make_path(20)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        for build in (lambda: valence_bond_basis(20, 10), lambda: valence_bond_basis(18, 9),
+                      lambda: highest_weight_levels(g, 10)):
+            with pytest.raises(SizeBudgetError, match="dense budget"):
+                build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 5 << 20
+    # the largest basis inside the budget: highest-weight dim 3432 at n = 7 of 16
+    assert valence_bond_basis(16, 7).nnz == 3432 << 7
     # box 3x3 at n = 4 has highest-weight dim 42
-    monkeypatch.setattr(heis.eigen, "DENSE_BUDGET", 41)
+    monkeypatch.setattr(heis.sector, "DENSE_BUDGET", 41)
     with pytest.raises(SizeBudgetError):
         highest_weight_basis(make_box(2, 3), 4)
-    monkeypatch.setattr(heis.eigen, "DENSE_BUDGET", 42)
+    monkeypatch.setattr(heis.sector, "DENSE_BUDGET", 42)
     assert highest_weight_basis(make_box(2, 3), 4).shape == (126, 42)
 
 
@@ -729,6 +751,22 @@ def test_free_laplacian_commutes_with_permutation():
 def test_function_space_budget():
     with pytest.raises(SizeBudgetError):
         free_laplacian(make_path(40), 5)
+
+
+@pytest.mark.parametrize("build, size, cap", [
+    (lambda: MagnonBasis(40, 20).array(), math.comb(40, 20), SECTOR_BUDGET),
+    (lambda: casimir_magnon(make_path(40), 20), math.comb(40, 20), SECTOR_BUDGET),
+    (lambda: valence_bond_basis(18, 9), 4862, DENSE_BUDGET),
+    (lambda: FunctionSpaceIndex(40, 5), 40 ** 5, FUNCTION_SPACE_BUDGET),
+    (lambda: free_laplacian(make_path(40), 5), 40 ** 5, FUNCTION_SPACE_BUDGET),
+    (lambda: trial_state(1, 20, [(k,) for k in range(1, 11)]),
+     math.factorial(10) * math.comb(20, 10), FUNCTION_SPACE_BUDGET),
+    (lambda: full_spectrum(sp.csr_matrix((4097, 4097))), 4097, DENSE_BUDGET),
+    (lambda: lowest_eig(None, None, 4097, method="dense", tol=None, seed=0), 4097, DENSE_BUDGET),
+])
+def test_budget_messages_name_size_and_cap(build, size, cap):
+    with pytest.raises(SizeBudgetError, match=rf" {size} exceeds the [a-z-]+ budget {cap}$"):
+        build()
 
 
 def _decode(index, V, n):
