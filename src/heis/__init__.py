@@ -16,7 +16,6 @@ from .graph import (
     save_graph,
 )
 from .sector import (
-    FunctionSpaceIndex,
     MagnonBasis,
     casimir_magnon,
     contraction_T_box,

@@ -11,6 +11,7 @@ the lexicographic order of the flattened coordinate tuple.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,8 +19,6 @@ import numpy as np
 
 from .graph import lambda_spec, make_box, make_lambda
 from .sector import (
-    FunctionSpaceIndex,
-    MagnonBasis,
     _sqrt_factorial_scales,
     contraction_T_box,
     free_laplacian,
@@ -154,18 +153,15 @@ class _Geometry:
 
     ``dist`` and ``nearest`` are indexed by the row-major flat index of the
     box tuple; ``rank`` is the sector rank of each tuple's nearest good tuple.
+    ``shape`` is the box's, (L+,) * d.
     """
 
     def __init__(self, d, N, n):
-        self.box = make_box(d, lambda_spec(d, N).L_plus)
-        self.lam = make_lambda(d, N)
-        self.findex = FunctionSpaceIndex(self.box.vertex_count, n)
-        self.basis = MagnonBasis(self.lam.vertex_count, n)
-        self.box_pos = {p: i for i, p in enumerate(self.box.points)}
-        dim = self.findex.dim
         # the contraction has one entry per good tuple, in the row of its sector
         # rank; the off-diagonal entries of the free Laplacian are the hops
-        _, _, T, h = _deficit_operators(d, N, n)
+        L, _, T, h = _deficit_operators(d, N, n)
+        self.shape = (L,) * d
+        dim = T.shape[1]
         T, h = T.tocoo(), h.tocoo()
         rank = np.zeros(dim, dtype=np.int64)
         rank[T.col] = T.row
@@ -196,15 +192,19 @@ def _geometry(d, N, n):
 
 
 def rho(d, N, n, point_tuple):
-    """Exact l1 distance from a box tuple to the good set (0 on the good set)."""
+    """Exact l1 distance from a box tuple to the good set (0 on the good set).
+
+    Raises :class:`ValueError` unless ``point_tuple`` is n points of d integer
+    coordinates in {1..L+}.
+    """
     geo = _geometry(d, N, n)
-    try:
-        tup = tuple(geo.box_pos[tuple(p)] for p in point_tuple)
-    except KeyError as exc:
-        raise ValueError(f"point {exc.args[0]} outside the surrounding box")
-    if len(tup) != n:
-        raise ValueError(f"expected {n} points")
-    return int(geo.dist[geo.findex.encode(tup)])
+    pts = np.asarray(point_tuple)
+    if (pts.shape != (n, d) and not (n == 0 and pts.size == 0)) or pts.dtype.kind not in "iuf":
+        raise ValueError(f"expected {n} points of {d} coordinates, got {point_tuple}")
+    if not np.all((pts >= 1) & (pts <= geo.shape[0]) & (pts == np.round(pts))):
+        raise ValueError(f"{point_tuple} are not integer points of the surrounding box")
+    flat = np.ravel_multi_index(tuple(pts.astype(np.int64).ravel() - 1), geo.shape * n)
+    return int(geo.dist[flat])
 
 
 def extension_Xi(d, N, n, psi):
@@ -216,8 +216,8 @@ def extension_Xi(d, N, n, psi):
     """
     geo = _geometry(d, N, n)
     psi = np.asarray(psi)
-    if psi.shape != (geo.basis.dim,):
-        raise ValueError(f"psi must have length {geo.basis.dim}")
+    if psi.shape != (math.comb(N, n),):
+        raise ValueError(f"psi must have length {math.comb(N, n)}")
     _, inv_scale = _sqrt_factorial_scales(n)
     return psi[geo.rank] * inv_scale
 

@@ -195,9 +195,9 @@ def _level_lowering(g):
     fits ``SECTOR_BUDGET``: up to the largest m <= V/2 with C(V, m) within
     it.  A level above fails its own budget check in :func:`energy_level`."""
     V = g.vertex_count
-    top = V // 2
-    while top > 0 and math.comb(V, top) > SECTOR_BUDGET:
-        top -= 1
+    top = 0                     # C(V, m) grows with m up to V/2
+    while top < V // 2 and math.comb(V, top + 1) <= SECTOR_BUDGET:
+        top += 1
     return lowering_chain(g, top)
 
 

@@ -149,25 +149,26 @@ def _integer_root(N, d):
 
 
 def lambda_spec(d, N):
-    """Compute the :class:`LatticeBoxSpec` for given dimension and size."""
+    """Compute the :class:`LatticeBoxSpec` for given dimension and size.
+
+    Raises :class:`SizeBudgetError` when N exceeds ``MAX_VERTICES``, before
+    any point is listed.
+    """
     if d < 1 or N < 1:
         raise ValueError("d and N must be positive")
+    if N > MAX_VERTICES:
+        raise SizeBudgetError(f"lattice graph: {N} vertices exceed MAX_VERTICES {MAX_VERTICES}")
     L = _integer_root(N, d)
     L_plus = L if L ** d == N else L + 1
-    n_fill = N - L ** d
-    fill = []
-    if n_fill:
-        shell = (p for p in itertools.product(range(1, L_plus + 1), repeat=d)
-                 if max(p) > L)
-        fill = sorted(shell)[:n_fill]
-    return LatticeBoxSpec(d=d, N=N, L=L, L_plus=L_plus, fill=tuple(fill))
+    # product lists the box in lexicographic order, so the fill is a prefix of the shell
+    shell = (p for p in itertools.product(range(1, L_plus + 1), repeat=d) if max(p) > L)
+    fill = tuple(itertools.islice(shell, N - L ** d))
+    return LatticeBoxSpec(d=d, N=N, L=L, L_plus=L_plus, fill=fill)
 
 
 def _lattice_graph(points, d):
     """Graph induced on ``points`` by nearest-neighbor adjacency in Z^d."""
     points = sorted(points)
-    if len(points) > MAX_VERTICES:
-        raise SizeBudgetError(f"{len(points)} vertices exceed MAX_VERTICES {MAX_VERTICES}")
     pos = {p: i for i, p in enumerate(points)}
     edges = []
     for p, i in pos.items():
@@ -217,6 +218,8 @@ def make_ring(L):
     """Cycle graph on L vertices with unit couplings.  Requires L >= 3."""
     if L < 3:
         raise ValueError("ring needs L >= 3 (smaller rings duplicate edges)")
+    if L > MAX_VERTICES:
+        raise SizeBudgetError(f"ring: {L} vertices exceed MAX_VERTICES {MAX_VERTICES}")
     edges = sorted(tuple(sorted((i, (i + 1) % L))) for i in range(L))
     return Graph(
         vertices=tuple(range(L)),

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import SizeBudgetError
-from .graph import lambda_spec, make_box, make_lambda
+from .graph import lambda_spec, make_lambda
 
 #: Cap on |V|**n for operators living on the full n-particle function space.
 FUNCTION_SPACE_BUDGET = 1 << 21
@@ -81,10 +81,16 @@ class MagnonBasis:
         return self._weights[sub, np.arange(self.n)].sum(axis=1)
 
 
+def _shown(size):
+    """``size`` in digits below 2^1024, else by its bit length: such digits
+    are unreadable, and past 4300 of them Python refuses to print an int."""
+    return size if size < 1 << 1024 else f"a {size.bit_length()}-bit number"
+
+
 def _check_budget(what, size, cap, budget):
     """Raise :class:`SizeBudgetError`, naming ``size`` and ``cap``, when ``size`` > ``cap``."""
     if size > cap:
-        raise SizeBudgetError(f"{what} {size} exceeds the {budget} budget {cap}")
+        raise SizeBudgetError(f"{what} {_shown(size)} exceeds the {budget} budget {cap}")
 
 
 def check_sector_budget(vertex_count, n):
@@ -131,24 +137,6 @@ def product_state(cols):
         s = np.concatenate([s[: math.comb(c, k - 1)] * cols[c, k - 1]
                             for c in range(k - 1, V - n + k)])
     return s
-
-
-class FunctionSpaceIndex:
-    """Row-major bijection between {0..V^n-1} and tuples in V^n."""
-
-    def __init__(self, vertex_count, n):
-        self.vertex_count = vertex_count
-        self.n = n
-        self.dim = vertex_count ** n
-        check_function_space_budget(f"function space |V|^n = {vertex_count}^{n}", self.dim)
-
-    def encode(self, tup):
-        idx = 0
-        for x in tup:
-            if not 0 <= x < self.vertex_count:
-                raise ValueError(f"vertex index {x} out of range")
-            idx = idx * self.vertex_count + x
-        return idx
 
 
 def _insertions(vertex_count, n):
@@ -415,7 +403,8 @@ def free_laplacian(g, n):
     particle at a time hops along an edge of g.
     """
     V = g.vertex_count
-    dim = FunctionSpaceIndex(V, n).dim          # checks FUNCTION_SPACE_BUDGET
+    dim = V ** n
+    check_function_space_budget(f"function space |V|^n = {V}^{n}", dim)
     one = hamiltonian_magnon(g, 1)              # the one-particle Laplacian
     total = sp.csr_matrix((dim, dim))
     for k in range(n):
@@ -438,33 +427,25 @@ def _sqrt_factorial_scales(n):
     return a, b
 
 
-def _contraction(basis, ids, size):
-    """Contraction from functions on {0..size-1}^n to the sector of ``basis``.
-
-    Sector vertex v sits at function-space coordinate ``ids[v]``.  Row X of
-    the result carries (n!)^(-1/2) at every ordering of the tuple ids[X].
-    """
-    n = basis.n
-    findex = FunctionSpaceIndex(size, n)
-    # (n!, n) orderings; at n = 0 the one empty ordering gives shape (1, 0)
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    tuples = ids[basis.array()][:, perms]
-    cols = (tuples @ size ** np.arange(n - 1, -1, -1, dtype=np.int64)).ravel()
-    rows = np.repeat(np.arange(basis.dim), len(perms))
-    scale, _ = _sqrt_factorial_scales(n)
-    return sp.coo_matrix((np.full(len(rows), scale), (rows, cols)),
-                         shape=(basis.dim, findex.dim)).tocsr()
-
-
 def contraction_T_box(d, N, n):
     """Contraction from functions on the surrounding box to mag(n) of the lattice graph.
 
     Sends F on (B^d(L+))^n to (n!)^(-1/2) sum_x F(x_1..x_n) times the flipped
     state at {x_1..x_n}; only tuples of distinct points of the N-vertex
-    lattice graph count.  At d = 1 the box is the N-vertex path.
+    lattice graph count.  At d = 1 the box is the N-vertex path.  Row X
+    carries its entries at the row-major indices of the orderings of X's
+    points, read as n d coordinates in {1..L+}.
     """
-    box = make_box(d, lambda_spec(d, N).L_plus)
-    lam = make_lambda(d, N)
-    box_pos = {p: i for i, p in enumerate(box.points)}
-    lam_ids = np.array([box_pos[p] for p in lam.points], dtype=np.int64)
-    return _contraction(MagnonBasis(lam.vertex_count, n), lam_ids, box.vertex_count)
+    L = lambda_spec(d, N).L_plus
+    check_function_space_budget(f"function space |V|^n = {L ** d}^{n}", L ** (d * n))
+    basis = MagnonBasis(N, n)
+    points = np.array(make_lambda(d, N).points, dtype=np.int64) - 1
+    # (n!, n) orderings; at n = 0 the one empty ordering gives shape (1, 0)
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    rows = np.repeat(np.arange(basis.dim), len(perms))
+    coords = points[basis.array()][:, perms].reshape(len(rows), n * d)
+    # np.ravel: at n = 0 the index of the empty tuple comes back as a scalar
+    cols = np.ravel(np.ravel_multi_index(tuple(coords.T), (L,) * (n * d)))
+    scale, _ = _sqrt_factorial_scales(n)
+    return sp.coo_matrix((np.full(len(rows), scale), (rows, cols)),
+                         shape=(basis.dim, L ** (d * n))).tocsr()

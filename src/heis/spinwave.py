@@ -16,7 +16,7 @@ import numpy as np
 
 from .graph import lambda_spec, make_box, make_lambda
 from .sector import (
-    FunctionSpaceIndex,
+    _shown,
     check_function_space_budget,
     check_sector_budget,
     hamiltonian_magnon,
@@ -125,8 +125,9 @@ def trial_state(d, N, modes):
             raise ValueError(f"mode {k} out of range for L+ = {spec.L_plus}")
     check_sector_budget(N, n)
     orderings = arrangement_count(modes)
-    check_function_space_budget(f"trial-state sum of {orderings} orderings x C({N},{n}) subsets",
-                                orderings * math.comb(N, n))
+    check_function_space_budget(
+        f"trial-state sum of {_shown(orderings)} orderings x C({N},{n}) subsets",
+        orderings * math.comb(N, n))
     g = make_lambda(d, N)
     arrangements, mult = _distinct_arrangements(modes)
     cols = {k: _profile_column(k, g.points, spec.L_plus) for k in set(modes)}
@@ -146,11 +147,11 @@ def bose_basis(d, L, nu):
     """
     nu = occupation_from_modes(nu)
     n = len(nu)
+    check_function_space_budget(f"function space |V|^n = {L ** d}^{n}", L ** (d * n))
     box = make_box(d, L)
-    findex = FunctionSpaceIndex(box.vertex_count, n)
     arrangements, _ = _distinct_arrangements(nu)
     cols = {k: _profile_column(k, box.points, L) for k in set(nu)}
-    out = np.zeros(findex.dim)
+    out = np.zeros(L ** (d * n))
     for arr in arrangements:
         term = cols[arr[0]]
         for k in arr[1:]:

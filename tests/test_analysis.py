@@ -177,8 +177,13 @@ def test_rho_max_formula():
 
 
 def test_rho_rejects_outside_box():
-    with pytest.raises(ValueError):
-        rho(2, 8, 2, ((0, 0), (1, 1)))
+    # L+ = 3: a coordinate out of range or not an integer, a wrong point
+    # count, a wrong coordinate count
+    for bad in (((0, 0), (1, 1)), ((1, 1), (1, 4)), ((1, 1.5), (2, 2)),
+                ((1, 1),), ((1, 1), (2, 2), (3, 3)), ((1, 1, 1), (2, 2, 2)), ((1,), (2,))):
+        with pytest.raises(ValueError):
+            rho(2, 8, 2, bad)
+    assert rho(2, 8, 2, ((1, 1), (1.0, 2.0))) == rho(2, 8, 2, ((1, 1), (1, 2))) == 0
 
 
 def test_rho_empty_good_set():
@@ -214,37 +219,33 @@ def test_geometry_matches_l1_oracle(d, N, n):
 
 def test_extension_roundtrip_exact_basis_vectors():
     d, N, n = 2, 8, 2
-    geo = _geometry(d, N, n)
     T = contraction_T_box(d, N, n)
-    for i in range(geo.basis.dim):
-        e = np.zeros(geo.basis.dim)
+    for i in range(math.comb(N, n)):
+        e = np.zeros(math.comb(N, n))
         e[i] = 1.0
         assert np.array_equal(T @ extension_Xi(d, N, n, e), e)
 
 
 def test_extension_roundtrip_exact_n1():
     d, N, n = 2, 8, 1
-    geo = _geometry(d, N, n)
     T = contraction_T_box(d, N, n)
-    for i in range(geo.basis.dim):
-        e = np.zeros(geo.basis.dim)
+    for i in range(math.comb(N, n)):
+        e = np.zeros(math.comb(N, n))
         e[i] = 1.0
         assert np.array_equal(T @ extension_Xi(d, N, n, e), e)
 
 
 def test_extension_roundtrip_random(rng):
     d, N, n = 2, 8, 2
-    geo = _geometry(d, N, n)
     T = contraction_T_box(d, N, n)
-    psi = rng.standard_normal(geo.basis.dim)
+    psi = rng.standard_normal(math.comb(N, n))
     assert np.max(np.abs(T @ extension_Xi(d, N, n, psi) - psi)) < 1e-14
 
 
 def test_extension_output_symmetric(rng):
     for (d, N, n) in ((2, 8, 2), (1, 6, 2), (2, 12, 2)):
-        geo = _geometry(d, N, n)
-        V = geo.box.vertex_count
-        xi = extension_Xi(d, N, n, rng.standard_normal(geo.basis.dim))
+        V = lambda_spec(d, N).L_plus ** d
+        xi = extension_Xi(d, N, n, rng.standard_normal(math.comb(N, n)))
         cube = xi.reshape((V,) * n)
         assert np.array_equal(cube, np.swapaxes(cube, 0, 1))
 
@@ -252,8 +253,7 @@ def test_extension_output_symmetric(rng):
 def test_extension_copies_nearest_value():
     # a diagonal tuple takes its value from one step away
     d, N, n = 1, 4, 2
-    geo = _geometry(d, N, n)
-    psi = np.arange(1.0, geo.basis.dim + 1)
+    psi = np.arange(1.0, math.comb(N, n) + 1)
     xi = extension_Xi(d, N, n, psi).reshape(4, 4)
     # (r, r) copies from ((r-1), r): lexicographically smallest neighbor
     for r in range(1, 4):

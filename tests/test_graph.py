@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -183,6 +184,20 @@ def test_box_size_guard():
         with pytest.raises(SizeBudgetError,
                            match=f" {L ** d} vertices exceed MAX_VERTICES {1 << 20}$"):
             make_box(d, L)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: lambda_spec(2, 10 ** 12 + 1),
+    lambda: make_lambda(2, (1 << 20) + 10),
+    lambda: make_ring((1 << 20) + 1),
+], ids=["lambda_spec", "make_lambda", "make_ring"])
+def test_generators_refuse_before_listing_points(build):
+    # make_box and make_path are covered by test_box_size_guard
+    from heis.errors import SizeBudgetError
+    start = time.perf_counter()
+    with pytest.raises(SizeBudgetError, match=f" vertices exceed MAX_VERTICES {1 << 20}$"):
+        build()
+    assert time.perf_counter() - start < 0.1
 
 
 def test_generators_deterministic():

@@ -10,13 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 import heis.sector
 from heis.eigen import full_spectrum, highest_weight_levels, lowest_eig
+from heis.foel import _levels
 from heis.errors import SizeBudgetError
 from heis.graph import Graph, lambda_spec, make_box, make_lambda, make_path, make_ring
 from heis.sector import (
     DENSE_BUDGET,
     FUNCTION_SPACE_BUDGET,
     SECTOR_BUDGET,
-    FunctionSpaceIndex,
     MagnonBasis,
     casimir_magnon,
     contraction_T_box,
@@ -29,7 +29,7 @@ from heis.sector import (
     product_state,
     valence_bond_basis,
 )
-from heis.spinwave import trial_state
+from heis.spinwave import bose_basis, trial_state
 from conftest import (
     colex,
     colex_rank,
@@ -741,10 +741,9 @@ def test_free_laplacian_commutes_with_permutation():
     V, n = 3, 2
     g = make_path(V)
     op = free_laplacian(g, n).toarray()
-    findex = FunctionSpaceIndex(V, n)
     perm = np.zeros((9, 9))
     for tup in itertools.product(range(V), repeat=n):
-        perm[findex.encode(tup[::-1]), findex.encode(tup)] = 1.0
+        perm[np.ravel_multi_index(tup[::-1], (V,) * n), np.ravel_multi_index(tup, (V,) * n)] = 1.0
     assert np.max(np.abs(perm.T @ op @ perm - op)) == 0.0
 
 
@@ -757,7 +756,7 @@ def test_function_space_budget():
     (lambda: MagnonBasis(40, 20).array(), math.comb(40, 20), SECTOR_BUDGET),
     (lambda: casimir_magnon(make_path(40), 20), math.comb(40, 20), SECTOR_BUDGET),
     (lambda: valence_bond_basis(18, 9), 4862, DENSE_BUDGET),
-    (lambda: FunctionSpaceIndex(40, 5), 40 ** 5, FUNCTION_SPACE_BUDGET),
+    (lambda: bose_basis(1, 40, [(k,) for k in range(5)]), 40 ** 5, FUNCTION_SPACE_BUDGET),
     (lambda: free_laplacian(make_path(40), 5), 40 ** 5, FUNCTION_SPACE_BUDGET),
     (lambda: trial_state(1, 20, [(k,) for k in range(1, 11)]),
      math.factorial(10) * math.comb(20, 10), FUNCTION_SPACE_BUDGET),
@@ -769,31 +768,22 @@ def test_budget_messages_name_size_and_cap(build, size, cap):
         build()
 
 
-def _decode(index, V, n):
-    """The tuple in V^n at a row-major index."""
-    out = []
-    for _ in range(n):
-        index, x = divmod(index, V)
-        out.append(x)
-    return tuple(reversed(out))
+def test_budget_messages_name_huge_sizes_by_bit_length():
+    # C(20000, 10000) has 6018 digits, past the 4300 that int-to-str allows
+    with pytest.raises(SizeBudgetError,
+                       match=r"C\(20000,10000\) = a 19993-bit number exceeds the sector budget"):
+        heis.sector.check_sector_budget(20000, 10000)
+    with pytest.raises(SizeBudgetError, match=r"a 19053-bit number orderings"):
+        trial_state(1, 2000, [(k,) for k in range(2000)])
+    # so the level table records the refusal instead of raising a bare ValueError
+    energies, errors = _levels(make_ring(20000), 10000, "auto", 0, [])
+    assert math.isnan(energies[10000])
+    assert errors[10000].startswith("SizeBudgetError: sector C(20000,10000) = a 19993-bit")
 
 
 def _in_deleted_diagonal(tup):
     """A tuple is diagonal when two of its coordinates coincide."""
     return len(set(tup)) < len(tup)
-
-
-def test_function_space_index_round_trip():
-    findex = FunctionSpaceIndex(5, 3)
-    assert findex.dim == 125
-    for i, tup in enumerate(itertools.product(range(5), repeat=3)):
-        assert _decode(i, 5, 3) == tup
-        assert findex.encode(tup) == i
-        assert findex.encode(_decode(i, 5, 3)) == i
-    assert _in_deleted_diagonal((1, 2, 1))
-    assert not _in_deleted_diagonal((0, 2, 1))
-    with pytest.raises(ValueError):
-        findex.encode((0, 5, 1))
 
 
 # ---------------------------------------------------------------- contraction
@@ -806,14 +796,13 @@ def test_contraction_single_particle_is_identity():
 def test_contraction_kills_diagonal():
     V, n = 3, 2
     T = contraction_T_box(1, V, n)
-    findex = FunctionSpaceIndex(V, n)
-    F = np.zeros(findex.dim)
-    F[findex.encode((1, 1))] = 1.0
+    F = np.zeros(V ** n)
+    F[np.ravel_multi_index((1, 1), (V,) * n)] = 1.0
     assert np.max(np.abs(T @ F)) == 0.0
     # exactly the diagonal tuples have an empty column
     hit = np.diff(T.tocsc().indptr) > 0
     for tup in itertools.product(range(V), repeat=n):
-        assert hit[findex.encode(tup)] != _in_deleted_diagonal(tup)
+        assert hit[np.ravel_multi_index(tup, (V,) * n)] != _in_deleted_diagonal(tup)
 
 
 def test_contraction_isometry_on_symmetric_offdiagonal(rng):
