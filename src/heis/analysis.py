@@ -11,6 +11,7 @@ the lexicographic order of the flattened coordinate tuple.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -137,7 +138,9 @@ class GoodSet:
         self.n = n
         spec = lambda_spec(d, N)
         self.L_plus = spec.L_plus
-        self.lattice_points = frozenset(make_lambda(d, N).points)
+        # the points of make_lambda(d, N): the L-box and the fill
+        self.lattice_points = frozenset(
+            itertools.chain(itertools.product(range(1, spec.L + 1), repeat=d), spec.fill))
 
     def contains(self, point_tuple):
         pts = tuple(tuple(p) for p in point_tuple)

@@ -49,6 +49,7 @@ class DiluteStep:
     couplings: dict             # keyed by the next graph's normalized edges
     energy: float
     case: int                   # 1: couplings reached the target, 2: interpolated
+    target_energy: float = None     # E_n at t=1, the fully-coupled next graph
 
 
 @dataclass
@@ -140,15 +141,24 @@ def _lowest_level(g, n, method, tol, seed, lowering=None):
 
 
 def _spin_wave_state(g, n):
-    """The state with coefficient prod_{x in X} phi(x) on mag(n), for phi the
-    lowest non-constant one-magnon mode: the lowest eigenvector of the
-    one-magnon H on the complement of the constant mode (energy 0).  At
+    """The state with coefficient prod_{x in X} phi(x) on mag(n), for phi
+    the lowest non-constant one-magnon mode of g (:func:`_lowest_mode`).  At
     large L the low levels of spin deviate n are close to n magnons in that
-    mode.  A fixed seed picks the mode where it is degenerate (ring10)."""
+    mode."""
+    return product_state(np.column_stack([_lowest_mode(g)] * n))
+
+
+@functools.lru_cache(maxsize=1)
+def _lowest_mode(g):
+    """The lowest eigenvector of the one-magnon H of g on the complement of
+    the constant mode (energy 0), read-only.  A fixed seed picks the mode
+    where it is degenerate (ring10).  The solves of one graph's levels come
+    one after another, so the last graph's mode (V floats) is kept."""
     one = hamiltonian_magnon(g, 1)
     _, phi = lowest_eig(lambda x: one @ x, lambda x: x - x.mean(axis=0), g.vertex_count,
                         method="dense", tol=None, seed=0)
-    return product_state(np.column_stack([phi] * n))
+    phi.flags.writeable = False
+    return phi
 
 
 def foel_check(g, n, strict=False, tol=ENERGY_TOL, method="auto", seed=0):
@@ -175,13 +185,17 @@ def foel_check(g, n, strict=False, tol=ENERGY_TOL, method="auto", seed=0):
                        failures=[{"n_prime": m, "error": text} for m, text in errors.items()])
 
 
-def _levels(g, n, method, seed, lowering):
+def _levels(g, n, method, seed, lowering, e_n=None):
     """The level table of g: E_r for r = n..V/2 by :func:`energy_level`,
     every solve sharing ``lowering``.  Returns ({r: E_r}, {r: text}), with
     E_r NaN where the solve raised :class:`HeisError` and the text
-    ``"Type: message"`` of each such failure."""
+    ``"Type: message"`` of each such failure.  A given ``e_n`` is taken as
+    E_n, already solved with the same method and seed, and only
+    r = n+1..V/2 are solved."""
     energies, errors = {}, {}
-    for r in range(n, g.vertex_count // 2 + 1):
+    if e_n is not None:
+        energies[n] = e_n
+    for r in range(n if e_n is None else n + 1, g.vertex_count // 2 + 1):
         try:
             energies[r] = energy_level(g, r, method=method, seed=seed, lowering=lowering)
         except HeisError as exc:
@@ -229,7 +243,11 @@ def dilute_extend(prev, next_graph, n, tol=ENERGY_TOL, method="auto", seed=0, *,
     its start by more than ``tol`` raises ``ValueError`` before any solve.
     If the fully-coupled energy (:func:`energy_level`) does not exceed the
     previous one the step closes at t=1 (case 1); otherwise at the t* where
-    the level-n energy E(t) meets the previous energy (case 2).
+    the level-n energy E(t) meets the previous energy (case 2).  Either way
+    the step carries that t=1 energy as ``target_energy``: the couplings at
+    t=1 are exactly the targets, so it is E_n of ``next_graph`` with the
+    targets, as :func:`energy_level` gives it with the same method, seed and
+    ``lowering``.
 
     H is linear in the couplings, so H(J(t)) = H_0 + t D with
     H_0 = H(J_prev) and D = H(J_target - J_prev), a sum of bond terms with
@@ -273,9 +291,9 @@ def dilute_extend(prev, next_graph, n, tol=ENERGY_TOL, method="auto", seed=0, *,
         return next_graph.with_couplings(J), J
 
     g, J = couple(1.0)
-    e = energy_level(g, n, method=method, seed=seed, lowering=lowering)
+    e = target_energy = energy_level(g, n, method=method, seed=seed, lowering=lowering)
     if e <= prev_energy + tol:
-        return DiluteStep(t_star=1.0, couplings=J, energy=e, case=1)
+        return DiluteStep(t_star=1.0, couplings=J, energy=e, case=1, target_energy=e)
 
     increments = {edge: target - start for edge, start, target in data}
     D = hamiltonian_magnon(next_graph.with_couplings(increments), n)
@@ -313,7 +331,7 @@ def dilute_extend(prev, next_graph, n, tol=ENERGY_TOL, method="auto", seed=0, *,
             "dilution failed to match the previous energy",
             diagnostics={"t": t, "energy": e, "prev_energy": prev_energy},
         )
-    return DiluteStep(t_star=t, couplings=J, energy=e, case=2)
+    return DiluteStep(t_star=t, couplings=J, energy=e, case=2, target_energy=target_energy)
 
 
 @dataclass
@@ -361,14 +379,17 @@ class InductionReport:
 def induction_run(d, n, N_max, tol=ENERGY_TOL, method="auto", seed=0):
     """Run the growing-family induction for level n up to N_max vertices.
 
-    Solves one :func:`_levels` table per vertex count N (E_r for r >= n,
-    sharing one :func:`_level_lowering` with the dilution step of that N)
-    and reads everything else from the tables: the rows and new lows of
-    E_n, ``e_min_up`` (NaN when a level of that N failed), and at every new
-    low the check that the new-low energy is at most every E_r(k-vertex
-    graph) with r >= n, k <= N.  It also builds the diluted coupling chain.
-    A failed level or dilution step is listed in ``failures`` with its
-    ``"Type: message"`` text and makes the report partial.
+    Per vertex count N it first extends the diluted coupling chain to N
+    (:func:`dilute_extend`), then solves one :func:`_levels` table (E_r for
+    r >= n); both share one :func:`_level_lowering`.  The table takes E_n
+    from the step's ``target_energy``, the t=1 solve of the same level,
+    and solves it itself only at the first N, after a failed step, or once
+    the chain has broken.  Everything else is read from the tables: the
+    rows and new lows of E_n, ``e_min_up`` (NaN when a level of that N
+    failed), and at every new low the check that the new-low energy is at
+    most every E_r(k-vertex graph) with r >= n, k <= N.  A failed level or
+    dilution step is listed in ``failures`` with its ``"Type: message"``
+    text and makes the report partial.
     """
     if n < 1:
         raise ValueError(f"level n must be at least 1, got n={n}")
@@ -379,14 +400,12 @@ def induction_run(d, n, N_max, tol=ENERGY_TOL, method="auto", seed=0):
     energy, errors = {}, {}     # N -> {r: E_r}, N -> {r: failure text}
     couplings, t_values = [graphs[0].coupling_map()], [1.0]
     dilution_error = None
-    # one pass per vertex count: its level table and its dilution step share
+    # one pass per vertex count: its dilution step and its level table share
     # the lowering chain, which is dropped before the next count's is built
     for i, (N, g) in enumerate(zip(N_values, graphs)):
         lowering = _level_lowering(g)
-        energy[N], errors[N] = _levels(g, n, method, seed, lowering)
-        if i == 0:
-            energies = [energy[N][n]]
-        elif dilution_error is None:
+        e_n = None
+        if i > 0 and dilution_error is None:
             try:
                 step = dilute_extend((graphs[i - 1], couplings[-1], energies[-1]), g, n,
                                      tol=max(tol, 1e-10), method=method, seed=seed,
@@ -397,6 +416,10 @@ def induction_run(d, n, N_max, tol=ENERGY_TOL, method="auto", seed=0):
                 couplings.append(step.couplings)
                 energies.append(step.energy)
                 t_values.append(step.t_star)
+                e_n = step.target_energy
+        energy[N], errors[N] = _levels(g, n, method, seed, lowering, e_n=e_n)
+        if i == 0:
+            energies = [energy[N][n]]
 
     rows = []
     running = math.inf

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -155,6 +156,21 @@ def test_rho_zero_on_good_set():
     assert ((1, 1), (2, 2)) in gs
     assert not gs.contains(((1, 1), (1, 1)))
     assert not gs.contains(((1, 1), (3, 3)))  # (3,3) is outside the 8-point graph
+
+
+def test_good_set_points_are_the_lattice_graphs():
+    for d in (1, 2, 3):
+        for N in range(1, 130):
+            assert GoodSet(d, N, 2).lattice_points == frozenset(make_lambda(d, N).points)
+
+
+def test_good_set_builds_no_graph():
+    # built through the whole make_lambda graph this took 1.9 s (6.3 s at
+    # N = 10**6); from the box and the fill it takes 0.1-0.2 s
+    start = time.perf_counter()
+    gs = GoodSet(2, 250_000, 2)
+    assert time.perf_counter() - start < 1.0
+    assert len(gs.lattice_points) == 250_000
 
 
 def test_rho_doubled_interior_point():

@@ -593,10 +593,9 @@ def test_dilution_crossings_are_unique(monkeypatch, d, n, N_max):
 
 
 def test_solve_counts_pinned(monkeypatch):
-    # induction_run(2, 4, 14): 16 table levels (r = 4..N/2 for N = 8..14),
-    # then per chain step a t = 1 check (6) and the case-2 Newton solves (5).
-    # Each t = 1 check repeats the table's E_4 of its N; it stays while the
-    # benchmark's tracer counts energy_level calls in dilute_extend as solves.
+    # induction_run(2, 4, 14): per chain step a t = 1 check (6) and the
+    # case-2 Newton solves (5), then 10 table levels: r = 4..N/2 at N = 8,
+    # r = 5..N/2 for N = 9..14, whose E_4 is the step's t = 1 check.
     # A solve is keyed by its caller and by whether it went through
     # energy_level (a level) or straight to _lowest_level (a Newton pair)
     calls, depth, level = [], [], []
@@ -619,10 +618,62 @@ def test_solve_counts_pinned(monkeypatch):
     monkeypatch.setattr(heis.foel, "energy_level", nested(level, heis.foel.energy_level))
     induction_run(2, 4, 14)
     assert {key: calls.count(key) for key in set(calls)} == {
-        ("table", "level"): 16, ("dilute", "level"): 6, ("dilute", "pair"): 5}
+        ("table", "level"): 10, ("dilute", "level"): 6, ("dilute", "pair"): 5}
     calls.clear()
     foel_check(make_path(16), 1)
     assert calls == [("table", "level")] * 8
+
+
+@pytest.mark.parametrize("d, n, N_max, seed", [(2, 4, 14, 0), (1, 3, 14, 3), (3, 4, 12, 7)])
+def test_induction_levels_match_fresh_solves(d, n, N_max, seed):
+    # the table takes E_n from the dilution step's t = 1 check: bit for bit
+    # the level a fresh solve of the fully-coupled graph gives
+    rep = induction_run(d, n, N_max, seed=seed)
+    assert not rep.partial
+    for row in rep.rows:
+        assert row.energy == energy_level(make_lambda(d, row.N), n, seed=seed)
+
+
+def test_failed_dilution_step_leaves_levels_to_the_table(monkeypatch):
+    # a case-2 Newton solve that raises ends the chain; every later table
+    # solves its own E_n, to the same values
+    clean = induction_run(2, 4, 14)
+    level = []
+
+    def failing(*args, **kwargs):
+        if not level:
+            raise NumericalError("injected")
+        return lowest_level(*args, **kwargs)
+
+    def nested(*args, **kwargs):
+        level.append(1)
+        try:
+            return energy(*args, **kwargs)
+        finally:
+            level.pop()
+    lowest_level, energy = heis.foel._lowest_level, heis.foel.energy_level
+    monkeypatch.setattr(heis.foel, "_lowest_level", failing)
+    monkeypatch.setattr(heis.foel, "energy_level", nested)
+    rep = induction_run(2, 4, 14)
+    assert all(math.isfinite(r.energy) for r in rep.rows)
+    assert [r.energy for r in rep.rows] == [r.energy for r in clean.rows]
+    assert rep.failures == [{"stage": "dilution", "error": "NumericalError: injected"}]
+    assert rep.partial and rep.diluted is None
+
+
+def test_foel_check_solves_the_spin_wave_mode_once(monkeypatch):
+    built = []
+
+    def counting(g, n):
+        built.append(n)
+        return hamiltonian(g, n)
+    hamiltonian = heis.foel.hamiltonian_magnon
+    monkeypatch.setattr(heis.foel, "hamiltonian_magnon", counting)
+    heis.foel._lowest_mode.cache_clear()
+    foel_check(make_path(16), 1)
+    # the levels r = 3..8 take the Krylov path, each from the same mode
+    assert built.count(1) == 2      # the level E_1 and the mode
+    assert sorted(built) == [1, 1, *range(2, 9)]
 
 
 def test_dilute_extend_rejects_infinite_start():
