@@ -20,6 +20,7 @@ import numpy as np
 
 from .graph import lambda_spec, make_box, make_lambda
 from .sector import (
+    _dot,
     _sqrt_factorial_scales,
     contraction_T_box,
     free_laplacian,
@@ -241,7 +242,7 @@ def extension_energy_ratio(d, N, n):
     for i in range(len(vals)):
         psi = basis @ vecs[:, i]
         xi = extension_Xi(d, N, n, psi)
-        num = float(xi @ (h @ xi))
-        den = float(psi @ (H @ psi))
+        num = _dot(xi, h @ xi)
+        den = _dot(psi, H @ psi)
         ratios.append(num / den)
     return max(ratios), ratios

@@ -34,6 +34,7 @@ from .spinwave import (
     trial_state,
 )
 from .analysis import _deficit_rows, rho, rho_max, trace_check
+from .sector import _dot
 from .graph import lambda_spec
 
 EXIT_OK = 0
@@ -206,7 +207,7 @@ def cmd_spinwave(args):
         "d": args.d, "N": args.N, "L": spec.L, "L_plus": spec.L_plus,
         "modes": [list(m) for m in modes],
         "residual": _residual(state),
-        "norm_squared": float(psi @ psi),       # as gram_matrix computes it
+        "norm_squared": _dot(psi, psi),         # as gram_matrix computes it
         "norm_squared_limit": float(gram_limit([modes])[0, 0]),
         "bose_energy": bose_energy(args.d, spec.L_plus, nu),
         "mode_energy": float(sum(c * c for k in modes for c in k)),

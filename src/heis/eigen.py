@@ -12,6 +12,7 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator
 
 from .errors import ConvergenceError, LabelingError, NumericalError
 from .sector import (
+    _dot,
     casimir_magnon,
     check_dense_budget,
     check_highest_weight_budget,
@@ -153,10 +154,10 @@ def lowest_eig(apply, project, dim, method, tol, seed, start=None):
     if start is not None and not dense:
         s = start()
         ps = project(s)
-        weight = np.linalg.norm(ps)
-        if weight > _MIN_START_WEIGHT * np.linalg.norm(s):
-            v0 = ps / weight + _START_NOISE / np.linalg.norm(v0) * v0
-    lift = float(v0 @ apply(v0)) / float(v0 @ v0) + 1.0
+        weight = math.sqrt(_dot(ps, ps))
+        if weight > _MIN_START_WEIGHT * math.sqrt(_dot(s, s)):
+            v0 = ps / weight + _START_NOISE / math.sqrt(_dot(v0, v0)) * v0
+    lift = _dot(v0, apply(v0)) / _dot(v0, v0) + 1.0
 
     def lifted(x):
         return apply(x) + lift * (x - project(x))

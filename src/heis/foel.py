@@ -14,6 +14,7 @@ from .errors import HeisError, NumericalError
 from .graph import make_lambda
 from .sector import (
     SECTOR_BUDGET,
+    _dot,
     hamiltonian_magnon,
     highest_weight_projector,
     lowering_chain,
@@ -310,7 +311,7 @@ def dilute_extend(prev, next_graph, n, tol=ENERGY_TOL, method="auto", seed=0, *,
                 )
             raise NumericalError("dilution iterate rose above the previous energy",
                                  diagnostics={**diagnostics, "next_t": t, "next_energy": e})
-        slope = float(psi @ (D @ psi))
+        slope = _dot(psi, D @ psi)
         diagnostics = {"t": t, "energy": e, "slope": slope, "prev_energy": prev_energy}
         if slope > 0:
             s = max(0.0, t - (e - prev_energy) / slope)

@@ -117,6 +117,21 @@ def check_function_space_budget(what, size):
     _check_budget(f"{what} =", size, FUNCTION_SPACE_BUDGET, "function-space")
 
 
+def _dot(x, y):
+    """<x, y> of two real 1-D sector vectors, by numpy's own summation loop.
+
+    Every 1-D inner product and 2-norm of a sector-sized vector in the
+    library goes through here.  ``np.dot``, ``@``, ``np.vecdot`` and
+    ``np.linalg.norm`` call numpy's bundled OpenBLAS, which runs ``ddot`` on
+    its own thread pool above 10000 entries; the woken worker then spins for
+    about 0.13 s of CPU (measured on a 2-core VM), which on a small machine
+    competes with the main thread and with scipy's (separate) BLAS pool for
+    the rest of a solve.  ``einsum`` without ``optimize`` never calls BLAS.
+    Matrix products stay on BLAS.
+    """
+    return float(np.einsum("i,i", x, y))
+
+
 def product_state(cols):
     """The n-magnon product state with coefficient prod_k cols[c_k, k] at
     X = {c_0 < ... < c_{n-1}}, for a (V, n) array ``cols``.

@@ -16,6 +16,7 @@ import numpy as np
 
 from .graph import lambda_spec, make_box, make_lambda
 from .sector import (
+    _dot,
     _shown,
     check_function_space_budget,
     check_sector_budget,
@@ -99,7 +100,7 @@ class TrialState:
         return len(self.modes)
 
     def norm(self):
-        return float(np.linalg.norm(self.coefficients))
+        return math.sqrt(_dot(self.coefficients, self.coefficients))
 
 
 def trial_state(d, N, modes):
@@ -187,7 +188,7 @@ def _residual(state):
     m = sum(c * c for k in state.modes for c in k)
     psi = state.coefficients
     lhs = (spec.L ** 2 / GAP_SCALE) * (H @ psi) - m * psi
-    return float(np.linalg.norm(lhs) / np.linalg.norm(psi))
+    return math.sqrt(_dot(lhs, lhs) / _dot(psi, psi))
 
 
 def gram_matrix(d, N, mode_tuples):
@@ -197,9 +198,7 @@ def gram_matrix(d, N, mode_tuples):
     out = np.empty((k, k))
     for i in range(k):
         for j in range(i, k):
-            out[i, j] = out[j, i] = float(
-                states[i].coefficients @ states[j].coefficients
-            )
+            out[i, j] = out[j, i] = _dot(states[i].coefficients, states[j].coefficients)
     return out
 
 
