@@ -15,6 +15,7 @@ from .graph import make_lambda
 from .sector import (
     SECTOR_BUDGET,
     _dot,
+    _spmv,
     hamiltonian_magnon,
     highest_weight_projector,
     lowering_chain,
@@ -30,6 +31,14 @@ _STEP_TOL = 1e-13
 
 #: Most energy solves one dilution step may make.
 _MAX_SOLVES = 60
+
+
+def _check_tol(tol):
+    """Raise ``ValueError`` unless ``tol`` is a finite number >= 0: every
+    comparison with NaN is false, so a NaN tolerance would pass any
+    violation."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
 
 
 @dataclass
@@ -137,7 +146,7 @@ def _lowest_level(g, n, method, tol, seed, lowering=None):
     # at n = 1 the start would be the mode itself, found by a dense solve as
     # large as the one it would replace
     start = functools.partial(_spin_wave_state, g, n) if n >= 2 else None
-    return lowest_eig(lambda x: H @ x, project, H.shape[0], method=method, tol=tol,
+    return lowest_eig(lambda x: _spmv(H, x), project, H.shape[0], method=method, tol=tol,
                       seed=seed, start=start)
 
 
@@ -172,8 +181,10 @@ def foel_check(g, n, strict=False, tol=ENERGY_TOL, method="auto", seed=0):
     level and ``"Type: message"`` text in ``failures``.  ``seed`` seeds
     ARPACK's restarts and its random start vectors, which
     :func:`energy_level` mixes into its starts and uses alone when the
-    spin-wave start fails.
+    spin-wave start fails.  A ``tol`` that is not finite or is below 0
+    raises ``ValueError`` before any solve.
     """
+    _check_tol(tol)
     if n > g.vertex_count // 2:
         raise ValueError(f"n={n} exceeds half the vertex count")
     energies, errors = _levels(g, n, method, seed, _level_lowering(g))
@@ -275,8 +286,10 @@ def dilute_extend(prev, next_graph, n, tol=ENERGY_TOL, method="auto", seed=0, *,
     energy (no crossing), when a slope below t = 1 is not positive or an
     iterate's energy exceeds the previous one by more than ``tol`` (both
     contradict the bound), after ``_MAX_SOLVES`` solves, or when the final
-    energy misses the previous one by more than ``tol``.
+    energy misses the previous one by more than ``tol``.  A ``tol`` that is
+    not finite or is below 0 raises ``ValueError`` before any solve.
     """
+    _check_tol(tol)
     prev_graph, prev_J, prev_energy = prev
     if not math.isfinite(prev_energy) or 2 * n > prev_graph.vertex_count:
         raise ValueError("previous energy must be finite; start the chain at 2n vertices")
@@ -390,8 +403,10 @@ def induction_run(d, n, N_max, tol=ENERGY_TOL, method="auto", seed=0):
     failed), and at every new low the check that the new-low energy is at
     most every E_r(k-vertex graph) with r >= n, k <= N.  A failed level or
     dilution step is listed in ``failures`` with its ``"Type: message"``
-    text and makes the report partial.
+    text and makes the report partial.  A ``tol`` that is not finite or is
+    below 0 raises ``ValueError`` before any solve.
     """
+    _check_tol(tol)
     if n < 1:
         raise ValueError(f"level n must be at least 1, got n={n}")
     if N_max < 2 * n:

@@ -19,6 +19,7 @@ import warnings
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .errors import SizeBudgetError
 from .graph import lambda_spec, make_lambda
@@ -130,6 +131,27 @@ def _dot(x, y):
     Matrix products stay on BLAS.
     """
     return float(np.einsum("i,i", x, y))
+
+
+def _spmv(A, x, transpose=False):
+    """``A @ x``, or ``A.T @ x`` with ``transpose``, for a CSR matrix ``A``.
+
+    A 1-D ``x`` of ``A``'s dtype goes straight to scipy's compiled
+    ``csr_matvec`` (``csc_matvec`` on the same three arrays for ``A.T``),
+    the kernel that ``@`` itself runs, into a fresh ``np.zeros``: the
+    result is bit-identical, without the Python dispatch that ``@`` adds
+    per product (~2.5 us on a 2-core VM), more than the kernel itself takes
+    on the small sectors of a Krylov matvec.  Anything else falls back to
+    ``@``.
+    """
+    data = A.data
+    if x.ndim != 1 or x.dtype != data.dtype:
+        return A.T @ x if transpose else A @ x
+    rows, cols = A.shape[::-1] if transpose else A.shape
+    out = np.zeros(rows, dtype=data.dtype)
+    kernel = _sparsetools.csc_matvec if transpose else _sparsetools.csr_matvec
+    kernel(rows, cols, A.indptr, A.indices, data, x, out)
+    return out
 
 
 def product_state(cols):
@@ -396,15 +418,13 @@ def highest_weight_projector(g, n, *, lowering=None):
     coef.append(f[0])
     coef.reverse()                              # coef[k] = c_k
 
-    ups = [low.T for low in reversed(lows)]     # views: S^+_n, ..., S^+_1
-
     def project(x):
         ys = [x]
-        for up in ups:
-            ys.append(up @ ys[-1])
+        for low in reversed(lows):              # S^+_k y_k = (S^-_k)^T y_k
+            ys.append(_spmv(low, ys[-1], transpose=True))
         w = coef[0] * ys.pop()
         for low, c in zip(lows, coef[1:]):
-            w = c * ys.pop() + low @ w
+            w = c * ys.pop() + _spmv(low, w)
         return w
 
     return project

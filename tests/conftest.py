@@ -6,7 +6,8 @@ flipped down).  The COO assemblies of the sector H and S^- rank subsets by
 binary search in the sorted bitmasks.  The spin-wave oracles gather
 trial states from an explicit subset table and count Gram limits by
 matching permutations.  Spin-labelled entries are grouped by a per-run
-loop.  No oracle shares code with the sector-basis
+loop.  The highest-weight projector's sweep is applied with scipy's ``@``
+and ``.T`` views.  No oracle shares code with the sector-basis
 builders it checks.
 """
 
@@ -139,6 +140,37 @@ def coo_lowering(V, n):
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     return sp.coo_matrix((np.ones(len(rows)), (rows, cols)),
                          shape=(len(masks), len(lower))).tocsr()
+
+
+def sweep_projector(lows, V):
+    """The highest-weight projector on mag(n), n = len(lows), swept with ``@``.
+
+    ``lows`` is the S^-_1..S^-_n chain for V vertices.  The scalars c_k
+    are the divided differences of f_n (1 on the highest-weight space),
+    y_k runs down through ``.T`` views, and w_k = c_k y_k + S^-_k w_{k-1}
+    back up, every product by scipy's own ``@``.
+    """
+    n = len(lows)
+    f = np.r_[1.0, np.zeros(n)]
+    coef = []
+    for k in range(n, 0, -1):
+        coef.append(f[0])
+        i = np.arange(1, k + 1)
+        f = (f[1:] - f[0]) / (i * (V - 2 * k + i + 1))
+    coef.append(f[0])
+    coef.reverse()
+    ups = [low.T for low in reversed(lows)]
+
+    def project(x):
+        ys = [x]
+        for up in ups:
+            ys.append(up @ ys[-1])
+        w = coef[0] * ys.pop()
+        for low, c in zip(lows, coef[1:]):
+            w = c * ys.pop() + low @ w
+        return w
+
+    return project
 
 
 def project_sector(mat, V, n, m=None):

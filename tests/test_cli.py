@@ -168,6 +168,17 @@ def test_foel_ring_violation_exit_code(capsys):
     assert rep["results"]["violations"][0]["n_prime"] == 3
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-0.5"])
+def test_bad_tolerance_is_an_argument_error(capsys, tol):
+    # a NaN tol used to print holds: true for ring6's violation and exit 0
+    for argv in (("foel", "--graph", "ring:L=6", "--n", "2"),
+                 ("induct", "--d", "2", "--n", "1", "--N-max", "6")):
+        code, out, err = run(capsys, *argv, "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert "tol must be finite and nonnegative" in err
+
+
 def test_foel_lambda_top_level(capsys):
     # a Krylov start from the spin-wave state alone reported E_5 = 1.80394
     code, out, _ = run(capsys, "foel", "--graph", "lambda:d=2,N=10", "--n", "1")

@@ -760,3 +760,25 @@ def test_induction_report_json_shape():
     assert rep["family"] == "lambda"
     assert {"N", "E_n", "is_new_low"} <= set(rep["rows"][0])
     assert rep["verdicts"][0]["holds"] is True
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -0.5])
+def test_bad_tolerance_is_refused_before_any_solve(monkeypatch, tol):
+    # every comparison with NaN is false, so a NaN tol passed ring6's violation
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved before the tolerance was checked")
+    monkeypatch.setattr(heis.foel, "energy_level", refuse)
+    monkeypatch.setattr(heis.foel, "_lowest_level", refuse)
+    monkeypatch.setattr(heis.foel, "hamiltonian_magnon", refuse)
+    with pytest.raises(ValueError, match="tol"):
+        foel_check(make_ring(6), 2, tol=tol)
+    prev = Graph((0, 1), ((0, 1),), (1.0,))
+    with pytest.raises(ValueError, match="tol"):
+        dilute_extend((prev, None, 1.0), make_ring(3), 1, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        induction_run(2, 1, 6, tol=tol)
+
+
+def test_zero_tolerance_is_accepted():
+    assert not foel_check(make_ring(6), 2, tol=0.0).holds
+    assert foel_check(make_path(8), 1, strict=True, tol=0.0).holds
