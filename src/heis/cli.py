@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConvergenceError, HeisError, NumericalError, ParseError
-from .graph import load_graph, make_box, make_lambda, make_path, make_ring
+from .graph import lambda_spec, load_graph, make_box, make_lambda, make_path, make_ring
 from .eigen import labeled_spectra
 from .foel import ENERGY_TOL, energy_level, foel_check, induction_run
 from .spinwave import (
@@ -35,7 +35,6 @@ from .spinwave import (
 )
 from .analysis import _deficit_rows, rho, rho_max, trace_check
 from .sector import _dot
-from .graph import lambda_spec
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -44,6 +43,9 @@ EXIT_SOLVER = 3
 
 #: Samples drawn and checked at once by the contraction sweep.
 _SWEEP_BLOCK = 256
+
+#: ``--figure-compat`` multiplies energies by this, the reference figures' scale.
+FIGURE_SCALE = 2.0
 
 
 def parse_graph_spec(spec):
@@ -133,12 +135,9 @@ def _emit(args, report, csv_rows=None, csv_header=None):
 
 def cmd_spectrum(args):
     g = parse_graph_spec(args.graph)
-    scale = args.figure_scale if args.figure_compat else 1.0
-    sectors = (range(g.vertex_count + 1) if args.all_sectors else [args.sector])
-    if not args.all_sectors and args.sector is None:
-        raise ParseError("spectrum needs --sector or --all-sectors")
-    rows = []
-    results = {}
+    scale = FIGURE_SCALE if args.figure_compat else 1.0
+    sectors = range(g.vertex_count + 1) if args.all_sectors else [args.sector]
+    rows, results = [], {}
     spectra = labeled_spectra(g, sectors)
     for n in sectors:
         entries = [
@@ -187,8 +186,21 @@ def cmd_foel(args):
 def cmd_induct(args):
     rep = induction_run(args.d, args.n, args.N_max, tol=args.tol,
                         method=args.method, seed=args.seed)
+    result = {
+        "family": "lambda", "d": rep.d, "n": rep.n,
+        "rows": [{"N": r.N, "E_n": r.energy, "is_new_low": r.is_new_low,
+                  **({"t_star": r.t_star} if r.t_star is not None else {})}
+                 for r in rep.rows],
+        "e_min_up": {str(k): v for k, v in sorted(rep.e_min_up.items())},
+        "new_lows": rep.new_lows,
+        # FOEL-n is concluded at every new low
+        "verdicts": [{"N": N, "foel_level": rep.n, "holds": True} for N in rep.new_lows],
+        "grid_violations": rep.grid_violations, "partial": rep.partial,
+        "dilution_problems": rep.dilution_problems,
+        **({"failures": rep.failures} if rep.failures else {}),
+    }
     report = {"meta": _meta(args), "graph": {"family": "lambda", "d": args.d},
-              "results": rep.to_dict()}
+              "results": result}
     rows = [(r.N, r.energy, r.is_new_low, r.t_star) for r in rep.rows]
     _emit(args, report, rows, ("N", "E_n", "is_new_low", "t_star"))
     if rep.failures:
@@ -202,14 +214,13 @@ def cmd_spinwave(args):
     spec = lambda_spec(args.d, args.N)
     state = trial_state(args.d, args.N, modes)
     psi = state.coefficients
-    nu = occupation_from_modes(modes)
     result = {
         "d": args.d, "N": args.N, "L": spec.L, "L_plus": spec.L_plus,
         "modes": [list(m) for m in modes],
         "residual": _residual(state),
         "norm_squared": _dot(psi, psi),         # as gram_matrix computes it
         "norm_squared_limit": float(gram_limit([modes])[0, 0]),
-        "bose_energy": bose_energy(args.d, spec.L_plus, nu),
+        "bose_energy": bose_energy(args.d, spec.L_plus, occupation_from_modes(modes)),
         "mode_energy": float(sum(c * c for k in modes for c in k)),
     }
     report = {"meta": _meta(args), "graph": {"family": "lambda", "d": args.d},
@@ -283,61 +294,69 @@ def cmd_ineq(args):
     return EXIT_OK if not violations else EXIT_VIOLATION
 
 
+_OPTION_TABLE = """\
+options per subcommand (all take --out, --format and --seed, but only foel,
+induct, spectrum and ineq's trace and contraction suites draw from --seed):
+  spectrum  --graph (--sector N | --all-sectors) [--figure-compat] [--method]
+  foel      --graph --n [--strict] [--tol] [--method]
+  induct    --d --n --N-max [--tol] [--method]
+  spinwave  --d --N --modes
+  ineq      --suite [--samples]   (rho is exhaustive and ignores --samples)"""
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="heis",
         description="Magnon-sector exact diagonalization and energy-level "
                     "ordering checks for the ferromagnetic Heisenberg model.",
+        epilog=_OPTION_TABLE, formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def shared(p, func, tol=False, method=False):
+        p.set_defaults(func=func)
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--tol", type=float, default=ENERGY_TOL)
+        # spinwave and ineq rho draw no seed; the benchmark runner appends --seed to every job
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--method", choices=("auto", "dense", "krylov"),
-                       default="auto")
+        if tol:
+            p.add_argument("--tol", type=float, default=ENERGY_TOL)
+        if method:
+            p.add_argument("--method", choices=("auto", "dense", "krylov"), default="auto")
 
     p = sub.add_parser("spectrum", help="spin-labeled sector spectra")
     p.add_argument("--graph", required=True)
-    p.add_argument("--sector", type=int)
-    p.add_argument("--all-sectors", action="store_true")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--sector", type=int)
+    which.add_argument("--all-sectors", action="store_true")
     p.add_argument("--figure-compat", action="store_true",
-                   help="multiply reported energies by the figure scale")
-    p.add_argument("--figure-scale", type=float, default=2.0)
-    common(p)
-    p.set_defaults(func=cmd_spectrum)
+                   help=f"multiply reported energies by {FIGURE_SCALE}")
+    shared(p, cmd_spectrum, method=True)
 
     p = sub.add_parser("foel", help="energy-level ordering verdict")
     p.add_argument("--graph", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--strict", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_foel)
+    shared(p, cmd_foel, tol=True, method=True)
 
     p = sub.add_parser("induct", help="growing-family induction run")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--N-max", dest="N_max", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_induct)
+    shared(p, cmd_induct, tol=True, method=True)
 
     p = sub.add_parser("spinwave", help="trial-state diagnostics")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--modes", required=True,
                    help="';'-separated modes, ','-separated components")
-    common(p)
-    p.set_defaults(func=cmd_spinwave)
+    shared(p, cmd_spinwave)
 
     p = sub.add_parser("ineq", help="inequality sweeps")
-    p.add_argument("--suite", choices=("trace", "contraction", "rho"),
-                   required=True)
-    p.add_argument("--samples", type=int, default=1000)
-    common(p)
-    p.set_defaults(func=cmd_ineq)
+    p.add_argument("--suite", choices=("trace", "contraction", "rho"), required=True)
+    p.add_argument("--samples", type=int, default=1000, help="ignored by --suite rho")
+    shared(p, cmd_ineq)
     return parser
 
 

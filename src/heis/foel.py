@@ -369,26 +369,6 @@ class InductionReport:
     failures: list = field(default_factory=list)
     partial: bool = False
 
-    def to_dict(self):
-        return {
-            "family": "lambda",
-            "d": self.d,
-            "n": self.n,
-            "rows": [
-                {"N": r.N, "E_n": r.energy, "is_new_low": r.is_new_low,
-                 **({"t_star": r.t_star} if r.t_star is not None else {})}
-                for r in self.rows
-            ],
-            "e_min_up": {str(k): v for k, v in sorted(self.e_min_up.items())},
-            "new_lows": self.new_lows,
-            # FOEL-n is concluded at every new low
-            "verdicts": [{"N": N, "foel_level": self.n, "holds": True} for N in self.new_lows],
-            "grid_violations": self.grid_violations,
-            "dilution_problems": self.dilution_problems,
-            "partial": self.partial,
-            **({"failures": self.failures} if self.failures else {}),
-        }
-
 
 def induction_run(d, n, N_max, tol=ENERGY_TOL, method="auto", seed=0):
     """Run the growing-family induction for level n up to N_max vertices.

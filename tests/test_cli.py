@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import time
@@ -71,6 +72,8 @@ def test_spectrum_figure_compat_scales_exactly(capsys):
     _, plain, _ = run(capsys, "spectrum", "--graph", "path:L=4", "--sector", "1")
     _, scaled, _ = run(capsys, "spectrum", "--graph", "path:L=4", "--sector", "1",
                        "--figure-compat")
+    assert json.loads(plain)["meta"]["figure_scale_applied"] == 1.0
+    assert json.loads(scaled)["meta"]["figure_scale_applied"] == 2.0
     a = json.loads(plain)["results"]["1"]["levels"]
     b = json.loads(scaled)["results"]["1"]["levels"]
     for x, y in zip(a, b):
@@ -102,9 +105,52 @@ def test_foel_passes_seed_to_energy_level(capsys, monkeypatch):
 
 
 def test_spectrum_requires_sector(capsys):
-    code, _, err = run(capsys, "spectrum", "--graph", "path:L=3")
-    assert code == 2
-    assert "sector" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--graph", "path:L=3"])
+    assert exc.value.code == 2
+    assert "sector" in capsys.readouterr().err
+
+
+# Each subcommand's own options.  All also take --out, --format and --seed (the
+# benchmark runner appends --seed to every job, spinwave's included).
+SUBCOMMAND_OPTIONS = {
+    "spectrum": {"--graph", "--sector", "--all-sectors", "--figure-compat", "--method"},
+    "foel": {"--graph", "--n", "--strict", "--tol", "--method"},
+    "induct": {"--d", "--n", "--N-max", "--tol", "--method"},
+    "spinwave": {"--d", "--N", "--modes"},
+    "ineq": {"--suite", "--samples"},
+}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    parser = heis.cli.build_parser()
+    sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: {flag for action in p._actions if not isinstance(action, argparse._HelpAction)
+                  for flag in action.option_strings}
+           for name, p in sub.choices.items()}
+    assert got == {name: options | {"--out", "--format", "--seed"}
+                   for name, options in SUBCOMMAND_OPTIONS.items()}
+
+
+@pytest.mark.parametrize("argv, refused", [
+    (("spectrum", "--graph", "path:L=4", "--sector", "1", "--tol", "nan"), "--tol"),
+    (("spectrum", "--graph", "path:L=4", "--sector", "1", "--figure-compat",
+      "--figure-scale", "3"), "--figure-scale"),
+    (("spinwave", "--d", "1", "--N", "16", "--modes", "1;2", "--tol", "1e-8"), "--tol"),
+    (("spinwave", "--d", "1", "--N", "16", "--modes", "1;2", "--method", "dense"),
+     "--method"),
+    (("ineq", "--suite", "rho", "--tol", "nan"), "--tol"),
+    (("ineq", "--suite", "rho", "--method", "dense"), "--method"),
+    (("spectrum", "--graph", "path:L=4", "--sector", "1", "--all-sectors"),
+     "not allowed with argument --sector"),
+])
+def test_unread_or_conflicting_option_is_an_argument_error(capsys, argv, refused):
+    # these used to exit 0, echoing the ignored value in meta.config
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert refused in err
 
 
 def test_spectrum_parse_error_exit_code(capsys):
@@ -194,8 +240,19 @@ def test_induct_d1(capsys):
     rows = rep["results"]["rows"]
     assert [r["N"] for r in rows] == list(range(2, 9))
     assert all(r["is_new_low"] for r in rows)
+    assert rep["results"]["new_lows"] == list(range(2, 9))
+    assert [v["N"] for v in rep["results"]["verdicts"]] == rep["results"]["new_lows"]
     assert rep["results"]["verdicts"][-1] == {"N": 8, "foel_level": 1,
                                               "holds": True}
+
+
+def test_induct_report_json_shape(capsys):
+    code, out, _ = run(capsys, "induct", "--d", "1", "--n", "1", "--N-max", "6")
+    assert code == 0
+    rep = json.loads(out)["results"]
+    assert rep["family"] == "lambda"
+    assert {"N", "E_n", "is_new_low"} <= set(rep["rows"][0])
+    assert rep["verdicts"][0]["holds"] is True
 
 
 def test_induct_unfinished_low_exits_ok(capsys):

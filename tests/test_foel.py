@@ -734,7 +734,6 @@ def test_induction_run_d1_n1():
     assert rep.new_lows == list(range(2, 9))
     assert not rep.grid_violations
     assert not rep.partial
-    assert [v["N"] for v in rep.to_dict()["verdicts"]] == rep.new_lows
     assert rep.diluted is not None
     assert not rep.dilution_problems
     assert all(t == 1.0 for t in rep.diluted.t_values)  # case 1 throughout
@@ -753,13 +752,6 @@ def test_induction_run_d2_smoke():
     assert not rep.partial
     assert not rep.grid_violations
     assert foel_check(make_lambda(2, 9), 1).holds
-
-
-def test_induction_report_json_shape():
-    rep = induction_run(1, 1, 6).to_dict()
-    assert rep["family"] == "lambda"
-    assert {"N", "E_n", "is_new_low"} <= set(rep["rows"][0])
-    assert rep["verdicts"][0]["holds"] is True
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -0.5])
