@@ -11,7 +11,6 @@ the lexicographic order of the flattened coordinate tuple.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -139,9 +138,7 @@ class GoodSet:
         self.n = n
         spec = lambda_spec(d, N)
         self.L_plus = spec.L_plus
-        # the points of make_lambda(d, N): the L-box and the fill
-        self.lattice_points = frozenset(
-            itertools.chain(itertools.product(range(1, spec.L + 1), repeat=d), spec.fill))
+        self.lattice_points = frozenset(spec.points)
 
     def contains(self, point_tuple):
         pts = tuple(tuple(p) for p in point_tuple)

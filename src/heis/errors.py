@@ -22,11 +22,10 @@ class SizeBudgetError(HeisError):
 class ConvergenceError(HeisError):
     """Iterative eigensolver failed to converge. Carries the best iterate."""
 
-    def __init__(self, message, best_value=None, best_vector=None, residual=None):
+    def __init__(self, message, best_value=None, best_vector=None):
         super().__init__(message)
         self.best_value = best_value
         self.best_vector = best_vector
-        self.residual = residual
 
 
 class LabelingError(HeisError):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HeisError, NumericalError
-from .graph import make_lambda
+from .graph import Graph, make_lambda
 from .sector import (
     SECTOR_BUDGET,
     _dot,
@@ -55,8 +55,11 @@ class FoelVerdict:
 
 @dataclass
 class DiluteStep:
+    """One step of :func:`dilute_extend`: ``graph`` is the next graph with
+    the couplings J(t_star), and ``energy`` its level-n energy."""
+
     t_star: float
-    couplings: dict             # keyed by the next graph's normalized edges
+    graph: Graph
     energy: float
     case: int                   # 1: couplings reached the target, 2: interpolated
     target_energy: float = None     # E_n at t=1, the fully-coupled next graph
@@ -64,8 +67,7 @@ class DiluteStep:
 
 @dataclass
 class DilutedSequence:
-    graphs: list
-    couplings: list             # list of per-graph edge -> J dicts
+    graphs: list                # the stage graphs, each with its diluted couplings
     t_values: list
     energies: list
     new_lows: list              # vertex counts N of new-low stages
@@ -79,18 +81,16 @@ class DilutedSequence:
         energies never increase.
         """
         problems = []
-        for k, (g, J) in enumerate(zip(self.graphs, self.couplings)):
+        for k, g in enumerate(self.graphs):
             new_low = g.vertex_count in self.new_lows
-            for e in g.edges:
-                if J[e] > 1.0 + tol:
-                    problems.append(f"stage {k}: J{e} = {J[e]} exceeds 1")
-                if new_low and abs(J[e] - 1.0) > tol:
-                    problems.append(f"new-low stage {k}: J{e} = {J[e]} != 1")
-        for k in range(len(self.graphs) - 1):
-            nxt = self.graphs[k + 1]
-            nxt_J = nxt.with_couplings(self.couplings[k + 1]).edge_keys()
-            prev_J = self.graphs[k].with_couplings(self.couplings[k]).edge_keys()
-            for key, j in prev_J.items():
+            for e, j in zip(g.edges, g.couplings):
+                if j > 1.0 + tol:
+                    problems.append(f"stage {k}: J{e} = {j} exceeds 1")
+                if new_low and abs(j - 1.0) > tol:
+                    problems.append(f"new-low stage {k}: J{e} = {j} != 1")
+        for k, (g, nxt) in enumerate(zip(self.graphs, self.graphs[1:])):
+            nxt_J = nxt.edge_keys()
+            for key, j in g.edge_keys().items():
                 if key not in nxt_J:
                     problems.append(f"stage {k}: edge {set(key)} disappears")
                 elif nxt_J[key] < j - tol:
@@ -227,13 +227,14 @@ def _level_lowering(g):
     return lowering_chain(g, top)
 
 
-def _match_couplings(prev_graph, prev_J, next_graph):
-    """Interpolation data: per next-edge (J_start, J_target).
+def _match_couplings(prev_graph, next_graph):
+    """Interpolation data: per next-edge (J_start, J_target), J_start from
+    ``prev_graph``'s couplings and J_target from ``next_graph``'s.
 
     Both graphs are matched through :meth:`Graph.edge_keys`, so an edge of
     the previous graph is the next graph's edge between the same vertex keys.
     """
-    prev_map = prev_graph.with_couplings(prev_J).edge_keys()
+    prev_map = prev_graph.edge_keys()
     prev_keys = set(prev_graph.vertex_keys())
     next_keys = set(next_graph.vertex_keys())
     if not prev_keys < next_keys or len(next_keys) != len(prev_keys) + 1:
@@ -249,8 +250,9 @@ def dilute_extend(prev, next_graph, n, tol=ENERGY_TOL, method="auto", seed=0, *,
                   lowering=None):
     """One induction step of the diluted-system construction.
 
-    ``prev`` is a (graph, couplings, energy) triple; ``next_graph`` adds one
-    vertex and possibly new edges.  Couplings are interpolated as
+    ``prev`` is a (graph, energy) pair, the graph carrying the previous
+    stage's couplings J_prev; ``next_graph`` adds one vertex and possibly new
+    edges, and its couplings are the targets.  Couplings are interpolated as
     J(t) = (1-t) J_prev + t J_target, and none may shrink: a target below
     its start by more than ``tol`` raises ``ValueError`` before any solve.
     If the fully-coupled energy (:func:`energy_level`) does not exceed the
@@ -290,30 +292,28 @@ def dilute_extend(prev, next_graph, n, tol=ENERGY_TOL, method="auto", seed=0, *,
     not finite or is below 0 raises ``ValueError`` before any solve.
     """
     _check_tol(tol)
-    prev_graph, prev_J, prev_energy = prev
+    prev_graph, prev_energy = prev
     if not math.isfinite(prev_energy) or 2 * n > prev_graph.vertex_count:
         raise ValueError("previous energy must be finite; start the chain at 2n vertices")
-    if prev_J is None:
-        prev_J = prev_graph.coupling_map()
-    data = _match_couplings(prev_graph, prev_J, next_graph)
+    data = _match_couplings(prev_graph, next_graph)
     shrunk = [row for row in data if row[2] < row[1] - tol]
     if shrunk:
         raise ValueError(f"couplings shrink along the chain (edge, J_prev, J_target): {shrunk}")
 
     def couple(t):
-        J = {e: (1.0 - t) * start + t * target for e, start, target in data}
-        return next_graph.with_couplings(J), J
+        return next_graph.with_couplings(
+            {e: (1.0 - t) * start + t * target for e, start, target in data})
 
-    g, J = couple(1.0)
+    g = couple(1.0)
     e = target_energy = energy_level(g, n, method=method, seed=seed, lowering=lowering)
     if e <= prev_energy + tol:
-        return DiluteStep(t_star=1.0, couplings=J, energy=e, case=1, target_energy=e)
+        return DiluteStep(t_star=1.0, graph=g, energy=e, case=1, target_energy=e)
 
     increments = {edge: target - start for edge, start, target in data}
     D = hamiltonian_magnon(next_graph.with_couplings(increments), n)
     t = 1.0
     for solves in itertools.count(1):
-        g, J = couple(t)
+        g = couple(t)
         e, psi = _lowest_level(g, n, method=method, tol=1e-10, seed=seed, lowering=lowering)
         # the bound keeps every iterate after t = 1 within tol of the previous energy
         if solves > 1 and e > prev_energy + tol:
@@ -345,7 +345,7 @@ def dilute_extend(prev, next_graph, n, tol=ENERGY_TOL, method="auto", seed=0, *,
             "dilution failed to match the previous energy",
             diagnostics={"t": t, "energy": e, "prev_energy": prev_energy},
         )
-    return DiluteStep(t_star=t, couplings=J, energy=e, case=2, target_energy=target_energy)
+    return DiluteStep(t_star=t, graph=g, energy=e, case=2, target_energy=target_energy)
 
 
 @dataclass
@@ -394,7 +394,7 @@ def induction_run(d, n, N_max, tol=ENERGY_TOL, method="auto", seed=0):
     N_values = list(range(2 * n, N_max + 1))
     graphs = [make_lambda(d, N) for N in N_values]
     energy, errors = {}, {}     # N -> {r: E_r}, N -> {r: failure text}
-    couplings, t_values = [graphs[0].coupling_map()], [1.0]
+    chain, t_values = [graphs[0]], [1.0]    # the stage graphs, diluted
     dilution_error = None
     # one pass per vertex count: its dilution step and its level table share
     # the lowering chain, which is dropped before the next count's is built
@@ -403,13 +403,13 @@ def induction_run(d, n, N_max, tol=ENERGY_TOL, method="auto", seed=0):
         e_n = None
         if i > 0 and dilution_error is None:
             try:
-                step = dilute_extend((graphs[i - 1], couplings[-1], energies[-1]), g, n,
+                step = dilute_extend((chain[-1], energies[-1]), g, n,
                                      tol=max(tol, 1e-10), method=method, seed=seed,
                                      lowering=lowering)
             except (HeisError, ValueError) as exc:
                 dilution_error = f"{type(exc).__name__}: {exc}"
             else:
-                couplings.append(step.couplings)
+                chain.append(step.graph)
                 energies.append(step.energy)
                 t_values.append(step.t_star)
                 e_n = step.target_energy
@@ -441,8 +441,8 @@ def induction_run(d, n, N_max, tol=ENERGY_TOL, method="auto", seed=0):
     diluted = None
     problems = []
     if dilution_error is None:
-        diluted = DilutedSequence(graphs=graphs, couplings=couplings, t_values=t_values,
-                                  energies=energies, new_lows=list(new_lows))
+        diluted = DilutedSequence(graphs=chain, t_values=t_values, energies=energies,
+                                  new_lows=list(new_lows))
         problems = diluted.check_invariants(tol=max(tol, 1e-8))
     else:
         failures.append({"stage": "dilution", "error": dilution_error})

@@ -77,49 +77,26 @@ class Graph:
     def edge_count(self):
         return len(self.edges)
 
-    def coupling_map(self):
-        """Dict from normalized edge to coupling value."""
-        return dict(zip(self.edges, self.couplings))
-
     def index_of(self):
         """Dict from vertex id to its position in ``vertices``."""
         return {v: i for i, v in enumerate(self.vertices)}
 
-    def key(self, position):
-        """Cross-graph identity of the vertex at ``position``.
-
-        Lattice graphs are matched by coordinates, other graphs by id.
-        """
-        if self.points is not None:
-            return self.points[position]
-        return self.vertices[position]
-
     def vertex_keys(self):
-        return tuple(self.key(i) for i in range(self.vertex_count))
+        """Cross-graph identity of each vertex, aligned with ``vertices``:
+        lattice graphs are matched by coordinates, other graphs by id."""
+        return self.points if self.points is not None else self.vertices
 
     def edge_keys(self):
         """Coupling map keyed by frozensets of vertex keys."""
-        idx = self.index_of()
-        out = {}
-        for (u, v), j in zip(self.edges, self.couplings):
-            out[frozenset((self.key(idx[u]), self.key(idx[v])))] = j
-        return out
+        key = dict(zip(self.vertices, self.vertex_keys()))
+        return {frozenset((key[u], key[v])): j for (u, v), j in zip(self.edges, self.couplings)}
 
     def with_couplings(self, mapping):
-        """Copy of the graph with couplings taken from ``mapping``.
-
-        ``mapping`` is keyed either by normalized edge tuples or by
-        frozensets of vertex keys.
-        """
-        idx = self.index_of()
-        new = []
-        for (u, v) in self.edges:
-            if (u, v) in mapping:
-                new.append(float(mapping[(u, v)]))
-            else:
-                k = frozenset((self.key(idx[u]), self.key(idx[v])))
-                new.append(float(mapping[k]))
-        return Graph(self.vertices, self.edges, tuple(new), self.points, self.dim)
+        """Copy of the graph whose edge ``(u, v)`` has coupling
+        ``mapping[(u, v)]``; ``mapping`` is keyed by the normalized edge
+        tuples of ``edges`` and must hold every one of them."""
+        return Graph(self.vertices, self.edges, tuple(float(mapping[e]) for e in self.edges),
+                     self.points, self.dim)
 
 
 @dataclass(frozen=True)
@@ -136,6 +113,13 @@ class LatticeBoxSpec:
     L: int
     L_plus: int
     fill: tuple
+
+    @property
+    def points(self):
+        """The N points of the lattice graph, the L-box and the fill, in
+        lexicographic order."""
+        box = itertools.product(range(1, self.L + 1), repeat=self.d)
+        return tuple(sorted(itertools.chain(box, self.fill)))
 
 
 def _integer_root(N, d):
@@ -203,10 +187,7 @@ def make_lambda(d, N):
     lexicographically smallest fill points of the next shell.  The vertex sets
     (as lattice points) are nested along ``N -> N+1``.
     """
-    spec = lambda_spec(d, N)
-    pts = list(itertools.product(range(1, spec.L + 1), repeat=d))
-    pts.extend(spec.fill)
-    return _lattice_graph(pts, d)
+    return _lattice_graph(lambda_spec(d, N).points, d)
 
 
 def make_path(L):

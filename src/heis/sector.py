@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from .errors import SizeBudgetError
-from .graph import lambda_spec, make_lambda
+from .graph import lambda_spec
 
 #: Cap on |V|**n for operators living on the full n-particle function space.
 FUNCTION_SPACE_BUDGET = 1 << 21
@@ -471,10 +471,11 @@ def contraction_T_box(d, N, n):
     carries its entries at the row-major indices of the orderings of X's
     points, read as n d coordinates in {1..L+}.
     """
-    L = lambda_spec(d, N).L_plus
+    spec = lambda_spec(d, N)
+    L = spec.L_plus
     check_function_space_budget(f"function space |V|^n = {L ** d}^{n}", L ** (d * n))
     basis = MagnonBasis(N, n)
-    points = np.array(make_lambda(d, N).points, dtype=np.int64) - 1
+    points = np.array(spec.points, dtype=np.int64) - 1
     # (n!, n) orderings; at n = 0 the one empty ordering gives shape (1, 0)
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
     rows = np.repeat(np.arange(basis.dim), len(perms))

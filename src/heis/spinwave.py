@@ -129,9 +129,8 @@ def trial_state(d, N, modes):
     check_function_space_budget(
         f"trial-state sum of {_shown(orderings)} orderings x C({N},{n}) subsets",
         orderings * math.comb(N, n))
-    g = make_lambda(d, N)
     arrangements, mult = _distinct_arrangements(modes)
-    cols = {k: _profile_column(k, g.points, spec.L_plus) for k in set(modes)}
+    cols = {k: _profile_column(k, spec.points, spec.L_plus) for k in set(modes)}
     norm = spec.L ** (-n * d / 2.0)
     sqrt_fact = math.sqrt(math.factorial(n))
     total = sum(product_state(np.column_stack([cols[k] for k in arr]))

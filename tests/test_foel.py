@@ -415,11 +415,11 @@ def test_foel_bad_level():
 
 def test_dilute_extend_case1():
     prev = make_box(1, 2)
-    step = dilute_extend((prev, None, energy_level(prev, 1)), make_path(3), 1)
+    step = dilute_extend((prev, energy_level(prev, 1)), make_path(3), 1)
     assert step.case == 1
     assert step.t_star == 1.0
     assert step.energy == pytest.approx(0.5, abs=1e-12)
-    assert all(j == 1.0 for j in step.couplings.values())
+    assert all(j == 1.0 for j in step.graph.couplings)
 
 
 def test_dilute_extend_case2_triangle():
@@ -428,7 +428,7 @@ def test_dilute_extend_case2_triangle():
     # E(t) = min(1 + t/2, 3t/2) crosses 1 at t* = 2/3
     prev = Graph((0, 1), ((0, 1),), (1.0,))
     tri = make_ring(3)
-    step = dilute_extend((prev, {(0, 1): 1.0}, 1.0), tri, 1, tol=1e-10)
+    step = dilute_extend((prev, 1.0), tri, 1, tol=1e-10)
     assert step.case == 2
     assert step.t_star == pytest.approx(2 / 3, abs=1e-12)
     assert step.energy == pytest.approx(1.0, abs=1e-9)
@@ -450,7 +450,7 @@ def test_dilute_extend_solves_t0_once(monkeypatch):
     lowest_level = heis.foel._lowest_level
     monkeypatch.setattr(heis.foel, "_lowest_level", counting)
     prev = Graph((0, 1), ((0, 1),), (1.0,))
-    step = dilute_extend((prev, {(0, 1): 1.0}, 1.0), make_ring(3), 1, tol=1e-10)
+    step = dilute_extend((prev, 1.0), make_ring(3), 1, tol=1e-10)
     assert step.case == 2
     assert solved[0] == solved[1] == (1.0, 1.0, 1.0)
     assert len(set(solved[1:])) == len(solved) - 1 <= 5
@@ -466,7 +466,7 @@ def test_dilute_extend_case1_solves_once(monkeypatch):
     lowest_level = heis.foel._lowest_level
     monkeypatch.setattr(heis.foel, "_lowest_level", recording)
     prev = make_box(1, 2)
-    assert dilute_extend((prev, None, 1.0), make_path(3), 1).case == 1
+    assert dilute_extend((prev, 1.0), make_path(3), 1).case == 1
     assert solved == [(1.0, 1.0)]
 
 
@@ -480,7 +480,7 @@ def test_dilute_extend_tolerates_solver_noise_at_crossing(monkeypatch):
     lowest_level = heis.foel._lowest_level
     monkeypatch.setattr(heis.foel, "_lowest_level", noisy)
     prev = Graph((0, 1), ((0, 1),), (1.0,))
-    step = dilute_extend((prev, {(0, 1): 1.0}, 1.0), make_ring(3), 1, tol=1e-10)
+    step = dilute_extend((prev, 1.0), make_ring(3), 1, tol=1e-10)
     assert step.case == 2
     assert step.t_star == pytest.approx(2 / 3, abs=1e-11)
     assert step.energy == pytest.approx(1.0, abs=1e-10)
@@ -496,7 +496,7 @@ def test_dilute_extend_rejects_iterate_above_previous_energy(monkeypatch):
     monkeypatch.setattr(heis.foel, "_lowest_level", broken)
     prev = Graph((0, 1), ((0, 1),), (1.0,))
     with pytest.raises(NumericalError, match="rose above"):
-        dilute_extend((prev, {(0, 1): 1.0}, 1.0), make_ring(3), 1, tol=1e-10)
+        dilute_extend((prev, 1.0), make_ring(3), 1, tol=1e-10)
 
 
 def _below_t1(change):
@@ -515,7 +515,7 @@ def test_dilute_extend_rejects_flat_slope_below_t1(monkeypatch):
     monkeypatch.setattr(heis.foel, "_lowest_level", _below_t1(lambda e, psi: (e, 0 * psi)))
     prev = Graph((0, 1), ((0, 1),), (1.0,))
     with pytest.raises(NumericalError, match="slope is not positive below t=1"):
-        dilute_extend((prev, {(0, 1): 1.0}, 1.0), make_ring(3), 1, tol=1e-10)
+        dilute_extend((prev, 1.0), make_ring(3), 1, tol=1e-10)
 
 
 def test_dilute_extend_rejects_unmatched_crossing(monkeypatch):
@@ -528,7 +528,7 @@ def test_dilute_extend_rejects_unmatched_crossing(monkeypatch):
                         _below_t1(lambda e, psi: (1.0 - 1e-6, 1e6 * psi)))
     prev = Graph((0, 1), ((0, 1),), (1.0,))
     with pytest.raises(NumericalError, match="failed to match the previous energy"):
-        dilute_extend((prev, {(0, 1): 1.0}, 1.0), make_ring(3), 1, tol=1e-10)
+        dilute_extend((prev, 1.0), make_ring(3), 1, tol=1e-10)
 
 
 def test_dilute_extend_solve_budget(monkeypatch):
@@ -536,7 +536,7 @@ def test_dilute_extend_solve_budget(monkeypatch):
     monkeypatch.setattr(heis.foel, "_MAX_SOLVES", 1)
     prev = Graph((0, 1), ((0, 1),), (1.0,))
     with pytest.raises(NumericalError, match="1 solves"):
-        dilute_extend((prev, {(0, 1): 1.0}, 1.0), make_ring(3), 1)
+        dilute_extend((prev, 1.0), make_ring(3), 1)
 
 
 def test_dilute_extend_rejects_shrinking_coupling(monkeypatch):
@@ -546,7 +546,7 @@ def test_dilute_extend_rejects_shrinking_coupling(monkeypatch):
     monkeypatch.setattr(heis.foel, "_lowest_level", fail)
     prev = make_box(1, 2)
     with pytest.raises(ValueError, match="shrink"):
-        dilute_extend((prev, {e: 2.0 for e in prev.edges}, 1.0), make_path(3), 1)
+        dilute_extend((prev.with_couplings({e: 2.0 for e in prev.edges}), 1.0), make_path(3), 1)
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -554,7 +554,7 @@ def test_dilute_extend_no_bracket(n):
     # E(0) = 0 (edge (1, 2) off leaves a zero mode; level 0 is 0 at every
     # coupling) is already above -0.5
     with pytest.raises(NumericalError, match="no bracket"):
-        dilute_extend((make_box(1, 2), None, -0.5), make_path(3), n)
+        dilute_extend((make_box(1, 2), -0.5), make_path(3), n)
 
 
 @pytest.mark.parametrize("d, n, N_max", [(2, 4, 14), (2, 1, 12), (3, 1, 10)])
@@ -586,10 +586,11 @@ def test_dilution_crossings_are_unique(monkeypatch, d, n, N_max):
         assert seq.energies[k] == pytest.approx(prev_energy, abs=heis.foel.ENERGY_TOL)
         assert per_step[k - 1] <= 10
         s = seq.t_values[k] + 1e-6
-        data = heis.foel._match_couplings(seq.graphs[k - 1], seq.couplings[k - 1],
-                                          seq.graphs[k])
+        # the stage graph holds J(t*); the targets are the fully-coupled graph's
+        full = make_lambda(d, seq.graphs[k].vertex_count)
+        data = heis.foel._match_couplings(seq.graphs[k - 1], full)
         J = {e: (1 - s) * start + s * target for e, start, target in data}
-        assert energy_level(seq.graphs[k].with_couplings(J), n) > prev_energy
+        assert energy_level(full.with_couplings(J), n) > prev_energy
 
 
 def test_solve_counts_pinned(monkeypatch):
@@ -678,23 +679,57 @@ def test_foel_check_solves_the_spin_wave_mode_once(monkeypatch):
 
 def test_dilute_extend_rejects_infinite_start():
     with pytest.raises(ValueError):
-        dilute_extend((make_box(1, 2), None, math.inf), make_path(3), 2)
+        dilute_extend((make_box(1, 2), math.inf), make_path(3), 2)
     # level 2 is empty on two vertices, whatever energy is passed
     with pytest.raises(ValueError):
-        dilute_extend((make_box(1, 2), None, 0.5), make_path(3), 2)
+        dilute_extend((make_box(1, 2), 0.5), make_path(3), 2)
     # a failed grid solve leaves NaN, which must not pass for an energy
     with pytest.raises(ValueError):
-        dilute_extend((make_box(1, 2), None, math.nan), make_path(3), 1)
+        dilute_extend((make_box(1, 2), math.nan), make_path(3), 1)
 
 
 def test_diluted_sequence_checks_new_lows():
     # only a new-low stage must be fully coupled
-    seq = DilutedSequence(graphs=[make_path(2), make_path(3)],
-                          couplings=[{(0, 1): 1.0}, {(0, 1): 1.0, (1, 2): 0.5}],
+    seq = DilutedSequence(graphs=[make_path(2),
+                                  make_path(3).with_couplings({(0, 1): 1.0, (1, 2): 0.5})],
                           t_values=[1.0, 0.5], energies=[1.0, 1.0], new_lows=[2])
     assert seq.check_invariants() == []
     seq.new_lows = [2, 3]
     assert seq.check_invariants() == ["new-low stage 1: J(1, 2) = 0.5 != 1"]
+
+
+def _stage(V, edges, couplings):
+    return Graph(tuple(range(V)), tuple(edges), tuple(couplings))
+
+
+@pytest.mark.parametrize("stage1, energies, message", [
+    (_stage(4, [(0, 1), (1, 2), (2, 3)], [1.5, 1.0, 0.5]), [1.0, 1.0],
+     "stage 1: J(0, 1) = 1.5 exceeds 1"),
+    (_stage(4, [(0, 1), (2, 3)], [1.0, 1.0]), [1.0, 1.0], "stage 0: edge {1, 2} disappears"),
+    (_stage(4, [(0, 1), (1, 2), (2, 3)], [1.0, 0.5, 1.0]), [1.0, 1.0],
+     "stage 0: J{1, 2} decreases"),
+    (_stage(4, [(0, 1), (1, 2), (2, 3)], [1.0, 1.0, 1.0]), [1.0, 1.5],
+     "stage 0: energy rises 1.0 -> 1.5"),
+], ids=["exceeds", "disappears", "decreases", "rises"])
+def test_diluted_sequence_reports_each_broken_invariant(stage1, energies, message):
+    # a fully-coupled 3-vertex new low, then a 4-vertex stage that breaks one rule
+    seq = DilutedSequence(graphs=[_stage(3, [(0, 1), (1, 2)], [1.0, 1.0]), stage1],
+                          t_values=[1.0, 0.5], energies=energies, new_lows=[3])
+    assert seq.check_invariants() == [message]
+    # within tol of the rule is no violation
+    seq.graphs[1] = _stage(4, [(0, 1), (1, 2), (2, 3)], [1.0 + 1e-9, 1.0 - 1e-9, 0.5])
+    seq.energies = [1.0, 1.0 + 1e-9]
+    assert seq.check_invariants() == []
+
+
+@pytest.mark.parametrize("d, n, N_max", [(2, 4, 14), (2, 1, 12), (3, 1, 10)])
+def test_diluted_stage_graphs_solve_to_their_energies(d, n, N_max):
+    # each stage graph carries its diluted couplings J(t*), not the targets
+    seq = induction_run(d, n, N_max).diluted
+    assert any(t < 1.0 for t in seq.t_values)
+    assert [g.vertex_count for g in seq.graphs] == list(range(2 * n, N_max + 1))
+    for g, e in zip(seq.graphs, seq.energies):
+        assert energy_level(g, n) == e
 
 
 def test_induction_run_rejects_level_below_one():
@@ -705,7 +740,7 @@ def test_induction_run_rejects_level_below_one():
 
 def test_dilute_extend_requires_extension():
     with pytest.raises(ValueError):
-        dilute_extend((make_path(3), None, 0.5), make_path(5), 1)
+        dilute_extend((make_path(3), 0.5), make_path(5), 1)
 
 
 @st.composite
@@ -766,7 +801,7 @@ def test_bad_tolerance_is_refused_before_any_solve(monkeypatch, tol):
         foel_check(make_ring(6), 2, tol=tol)
     prev = Graph((0, 1), ((0, 1),), (1.0,))
     with pytest.raises(ValueError, match="tol"):
-        dilute_extend((prev, None, 1.0), make_ring(3), 1, tol=tol)
+        dilute_extend((prev, 1.0), make_ring(3), 1, tol=tol)
     with pytest.raises(ValueError, match="tol"):
         induction_run(2, 1, 6, tol=tol)
 

@@ -113,7 +113,7 @@ def test_load_graph_basic(tmp_path):
     g = load_graph(p)
     assert g.vertices == (1, 2, 3)
     assert g.edge_count == 2
-    assert g.coupling_map()[(2, 3)] == 0.5
+    assert dict(zip(g.edges, g.couplings))[(2, 3)] == 0.5
 
 
 def test_load_graph_errors(tmp_path):
@@ -171,6 +171,17 @@ def test_lattice_header_round_trip(tmp_path):
     assert load_graph(p).dim == 2
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_lambda_spec_points_are_the_graph_points(d):
+    # the L-box plus the first N - L^d points of the next shell, sorted
+    for N in range(1, 80):
+        spec = lambda_spec(d, N)
+        box = list(itertools.product(range(1, spec.L + 1), repeat=d))
+        shell = sorted(set(itertools.product(range(1, spec.L + 2), repeat=d)) - set(box))
+        assert spec.points == tuple(sorted(box + shell[:N - len(box)]))
+        assert spec.points == make_lambda(d, N).points
+
+
 @given(st.integers(1, 3), st.integers(1, 40))
 def test_lambda_size_property(d, N):
     assert lambda_spec(d, N).L_plus - lambda_spec(d, N).L in (0, 1)
@@ -203,6 +214,13 @@ def test_generators_refuse_before_listing_points(build):
 def test_generators_deterministic():
     assert make_lambda(2, 7) == make_lambda(2, 7)
     assert make_box(3, 2).edges == make_box(3, 2).edges
+
+
+def test_with_couplings_is_keyed_by_edges():
+    g = make_box(1, 3).with_couplings({(0, 1): 0.5, (1, 2): 2})
+    assert g.couplings == (0.5, 2.0) and g.points == make_box(1, 3).points
+    with pytest.raises(KeyError):
+        g.with_couplings(g.edge_keys())
 
 
 def test_edge_keys_by_points():

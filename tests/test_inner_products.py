@@ -38,7 +38,7 @@ def test_sector_vector_products_stay_off_numpy_blas(monkeypatch):
 
     assert energy_level(chain, 7, method="krylov") == pytest.approx(lowest, abs=1e-9)
     prev = Graph((0, 1), ((0, 1),), (1.0,))
-    step = dilute_extend((prev, {(0, 1): 1.0}, 1.0), make_ring(3), 1, tol=1e-10)
+    step = dilute_extend((prev, 1.0), make_ring(3), 1, tol=1e-10)
     assert step.case == 2
     modes = ((1, 0), (0, 1))
     assert math.isfinite(residual(2, 64, modes))

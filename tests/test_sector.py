@@ -218,8 +218,8 @@ def test_builders_match_reference_loop_with_zero_couplings():
     older = make_lambda(2, 9).edge_keys()
     keys = list(g.edge_keys())
     assert len(keys) > len(older)
-    g = g.with_couplings({e: 0.0 if e not in older else 1.0 + 0.125 * k
-                          for k, e in enumerate(keys)})
+    g = g.with_couplings({e: 0.0 if key not in older else 1.0 + 0.125 * k
+                          for k, (e, key) in enumerate(zip(g.edges, keys))})
     for n in range(1, g.vertex_count + 1):
         _assert_builders_match_reference_loop(g, n)
     H_ref, _ = _reference_entries(g, 2)
@@ -240,7 +240,8 @@ def _dilution_start(d, N):
     # lambda(d, N) with the edges new since lambda(d, N - 1) at coupling 0
     g = make_lambda(d, N)
     older = make_lambda(d, N - 1).edge_keys()
-    return g.with_couplings({e: 1.0 if e in older else 0.0 for e in g.edge_keys()})
+    return g.with_couplings({e: 1.0 if key in older else 0.0
+                             for e, key in zip(g.edges, g.edge_keys())})
 
 
 def _assert_same_csr(op, ref):
