@@ -148,7 +148,7 @@ def cmd_spectrum(args):
         results[str(n)] = {
             "dimension": math.comb(g.vertex_count, n),
             "levels": entries,
-            "E_n": energy_level(g, n, method=args.method, seed=args.seed) * scale,
+            "E_n": energy_level(g, n, seed=args.seed) * scale,
         }
         rows.extend((n, e["energy"], e["n_prime"], e["multiplicity"]) for e in entries)
     report = {"meta": _meta(args, {"figure_scale_applied": scale}),
@@ -159,8 +159,7 @@ def cmd_spectrum(args):
 
 def cmd_foel(args):
     g = parse_graph_spec(args.graph)
-    verdict = foel_check(g, args.n, strict=args.strict, tol=args.tol,
-                         method=args.method, seed=args.seed)
+    verdict = foel_check(g, args.n, strict=args.strict, tol=args.tol, seed=args.seed)
     result = {
         "n": verdict.n,
         "holds": verdict.holds,
@@ -184,8 +183,7 @@ def cmd_foel(args):
 
 
 def cmd_induct(args):
-    rep = induction_run(args.d, args.n, args.N_max, tol=args.tol,
-                        method=args.method, seed=args.seed)
+    rep = induction_run(args.d, args.n, args.N_max, tol=args.tol, seed=args.seed)
     result = {
         "family": "lambda", "d": rep.d, "n": rep.n,
         "rows": [{"N": r.N, "E_n": r.energy, "is_new_low": r.is_new_low,
@@ -297,9 +295,9 @@ def cmd_ineq(args):
 _OPTION_TABLE = """\
 options per subcommand (all take --out, --format and --seed, but only foel,
 induct, spectrum and ineq's trace and contraction suites draw from --seed):
-  spectrum  --graph (--sector N | --all-sectors) [--figure-compat] [--method]
-  foel      --graph --n [--strict] [--tol] [--method]
-  induct    --d --n --N-max [--tol] [--method]
+  spectrum  --graph (--sector N | --all-sectors) [--figure-compat]
+  foel      --graph --n [--strict] [--tol]
+  induct    --d --n --N-max [--tol]
   spinwave  --d --N --modes
   ineq      --suite [--samples]   (rho is exhaustive and ignores --samples)"""
 
@@ -314,7 +312,7 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def shared(p, func, tol=False, method=False):
+    def shared(p, func, tol=False):
         p.set_defaults(func=func)
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -322,8 +320,6 @@ def build_parser():
         p.add_argument("--seed", type=int, default=0)
         if tol:
             p.add_argument("--tol", type=float, default=ENERGY_TOL)
-        if method:
-            p.add_argument("--method", choices=("auto", "dense", "krylov"), default="auto")
 
     p = sub.add_parser("spectrum", help="spin-labeled sector spectra")
     p.add_argument("--graph", required=True)
@@ -332,19 +328,19 @@ def build_parser():
     which.add_argument("--all-sectors", action="store_true")
     p.add_argument("--figure-compat", action="store_true",
                    help=f"multiply reported energies by {FIGURE_SCALE}")
-    shared(p, cmd_spectrum, method=True)
+    shared(p, cmd_spectrum)
 
     p = sub.add_parser("foel", help="energy-level ordering verdict")
     p.add_argument("--graph", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--strict", action="store_true")
-    shared(p, cmd_foel, tol=True, method=True)
+    shared(p, cmd_foel, tol=True)
 
     p = sub.add_parser("induct", help="growing-family induction run")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--N-max", dest="N_max", type=int, required=True)
-    shared(p, cmd_induct, tol=True, method=True)
+    shared(p, cmd_induct, tol=True)
 
     p = sub.add_parser("spinwave", help="trial-state diagnostics")
     p.add_argument("--d", type=int, required=True)

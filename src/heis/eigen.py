@@ -20,9 +20,12 @@ from .sector import (
     valence_bond_basis,
 )
 
-#: Largest dimension that :func:`lowest_eig` solves densely under
-#: ``method="auto"`` (measured dense/ARPACK crossover: 220-250).
+#: Largest dimension that :func:`lowest_eig` solves densely; ARPACK takes
+#: the larger ones (measured dense/ARPACK crossover: 220-250).
 DENSE_CUTOFF = 240
+
+#: Relative residual to which ARPACK solves in :func:`lowest_eig`.
+KRYLOV_TOL = 1e-10
 
 #: Eigenvalues closer than this are treated as degenerate.
 DEGENERACY_TOL = 1e-8
@@ -51,7 +54,6 @@ class EigResult:
     values: np.ndarray                  # ascending
     vectors: np.ndarray = None          # orthonormal columns, optional
     residual_norms: np.ndarray = None
-    method: str = "dense"
 
 
 @dataclass
@@ -71,17 +73,17 @@ class SpinLabeledSpectrum:
         return [e.energy for e in self.entries if e.n_prime == n_prime]
 
 
-def _run_bounds(values, tol=DEGENERACY_TOL):
+def _run_bounds(values):
     """Start index of every run of an ascending array whose consecutive gaps
-    are at most ``tol``, followed by the array's length."""
+    are at most ``DEGENERACY_TOL``, followed by the array's length."""
     gaps = np.diff(np.asarray(values, dtype=float), prepend=-np.inf, append=np.inf)
-    return np.flatnonzero(gaps > tol)
+    return np.flatnonzero(gaps > DEGENERACY_TOL)
 
 
-def degenerate_runs(values, tol=DEGENERACY_TOL):
+def degenerate_runs(values):
     """(start, stop) index pairs of the runs of an ascending array whose
-    consecutive gaps are at most ``tol``."""
-    bounds = _run_bounds(values, tol).tolist()
+    consecutive gaps are at most ``DEGENERACY_TOL``."""
+    bounds = _run_bounds(values).tolist()
     return list(zip(bounds[:-1], bounds[1:]))
 
 
@@ -95,7 +97,8 @@ def full_spectrum(op, with_vectors=True):
     """All eigenvalues (and optionally vectors) of a symmetric operator.
 
     Dense path only; raises :class:`SizeBudgetError` above ``sector.DENSE_BUDGET``
-    (use :func:`min_eig` with the Krylov method for extremal values there).
+    (use :func:`min_eig`, which runs ARPACK above ``DENSE_CUTOFF``, for the
+    lowest value there).
     """
     mat = _as_csr(op)
     if mat.shape[0] != mat.shape[1]:
@@ -105,12 +108,11 @@ def full_spectrum(op, with_vectors=True):
     if with_vectors:
         vals, vecs = np.linalg.eigh(dense)
         res = np.linalg.norm(dense @ vecs - vecs * vals, axis=0)
-        return EigResult(values=vals, vectors=vecs, residual_norms=res, method="dense")
-    vals = np.linalg.eigvalsh(dense)
-    return EigResult(values=vals, method="dense")
+        return EigResult(values=vals, vectors=vecs, residual_norms=res)
+    return EigResult(values=np.linalg.eigvalsh(dense))
 
 
-def lowest_eig(apply, project, dim, method, tol, seed, start=None):
+def lowest_eig(apply, project, dim, seed, start=None):
     """Lowest eigenpair of the symmetric operator x -> apply(x) on the range
     of the orthogonal projector x -> project(x) in R^dim.
 
@@ -125,13 +127,14 @@ def lowest_eig(apply, project, dim, method, tol, seed, start=None):
     ``seed``: the result is deterministic for a fixed seed.
 
     ``dim`` below 1 raises ``ValueError`` before either callable is called.
-    ``method="auto"`` is dense at or below ``DENSE_CUTOFF`` and ARPACK above.
-    The dense solve (also for dim 1, which ARPACK cannot take) raises
-    :class:`SizeBudgetError` above ``sector.DENSE_BUDGET`` first, then builds A in
-    one pass over column blocks of the identity of ``_DENSE_BLOCK_ENTRIES``
-    entries, so the projector's temporaries stay a block wide.
+    The size alone picks the path: dense at or below ``DENSE_CUTOFF`` and
+    ARPACK above.  The dense solve (also for dim 1, which ARPACK cannot
+    take) raises :class:`SizeBudgetError` above ``sector.DENSE_BUDGET``
+    first, then builds A in one pass over column blocks of the identity of
+    ``_DENSE_BLOCK_ENTRIES`` entries, so the projector's temporaries stay a
+    block wide.
 
-    ARPACK solves to relative residual ``tol``.  Given a zero-argument
+    ARPACK solves to relative residual ``KRYLOV_TOL``.  Given a zero-argument
     callable ``start`` (called on this path only) and s = ``start()``, it
     starts from v0 = Ps / ||Ps|| + ``_START_NOISE`` Pr / ||Pr|| unless
     ||Ps|| <= ``_MIN_START_WEIGHT`` ||s||; the random part reaches every
@@ -141,13 +144,9 @@ def lowest_eig(apply, project, dim, method, tol, seed, start=None):
     it runs on A plus the identity and the shift is undone.  ARPACK failures
     raise :class:`ConvergenceError`.
     """
-    if method == "auto":
-        method = "dense" if dim <= DENSE_CUTOFF else "krylov"
-    if method not in ("dense", "krylov"):
-        raise ValueError(f"unknown method {method!r}")
     if dim < 1:
         raise ValueError(f"no lowest eigenpair on a space of dimension {dim}")
-    dense = method == "dense" or dim < 2
+    dense = dim <= DENSE_CUTOFF or dim < 2
     if dense:
         check_dense_budget(dim)
     v0 = project(np.random.default_rng(seed).standard_normal(dim))
@@ -170,7 +169,7 @@ def lowest_eig(apply, project, dim, method, tol, seed, start=None):
         return float(vals[0]), vecs[:, 0]
     shifted = LinearOperator((dim, dim), matvec=lambda x: lifted(x) + x, dtype=np.float64)
     try:
-        vals, vecs = eigsh(shifted, k=1, which="SA", v0=v0, tol=tol,
+        vals, vecs = eigsh(shifted, k=1, which="SA", v0=v0, tol=KRYLOV_TOL,
                            rng=np.random.default_rng(seed))
     except ArpackNoConvergence as exc:
         best = len(exc.eigenvalues) > 0
@@ -184,14 +183,14 @@ def lowest_eig(apply, project, dim, method, tol, seed, start=None):
     return float(vals[0]) - 1.0, vecs[:, 0]
 
 
-def min_eig(op, deflate=None, tol=1e-10, seed=0, method="auto"):
+def min_eig(op, deflate=None, seed=0):
     """Minimum eigenvalue and eigenvector, optionally deflated.
 
     ``deflate`` is a matrix of orthonormal columns; the minimum is taken over
     their orthogonal complement (the minimum Rayleigh quotient there), as the
     lowest eigenpair of P M P on the range of P, the complement projector,
     where P M P vanishes on the rest.  Solved by :func:`lowest_eig`, so
-    ``method`` and the size budgets are the same as for ``energy_level``.
+    the solver path and the size budgets are those of ``energy_level``.
     Deterministic for a fixed seed.
     """
     mat = _as_csr(op)
@@ -215,8 +214,7 @@ def min_eig(op, deflate=None, tol=1e-10, seed=0, method="auto"):
     def project(x):
         return x if deflate is None else x - deflate @ (deflate.T @ x)
 
-    return lowest_eig(lambda x: project(mat @ project(x)), project, dim, method=method,
-                      tol=tol, seed=seed)
+    return lowest_eig(lambda x: project(mat @ project(x)), project, dim, seed=seed)
 
 
 def _spin_from_casimir(c, V, tol=1e-8):

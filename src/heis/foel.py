@@ -103,7 +103,7 @@ class DilutedSequence:
         return problems
 
 
-def energy_level(g, n, method="auto", tol=1e-10, seed=0, *, lowering=None):
+def energy_level(g, n, seed=0, *, lowering=None):
     """Minimum energy among states of spin deviate exactly n.
 
     Returns +inf for n beyond V/2 (the subspace is empty).  H commutes with
@@ -112,30 +112,27 @@ def energy_level(g, n, method="auto", tol=1e-10, seed=0, *, lowering=None):
     H >= 0 (couplings are nonnegative), so :func:`heis.eigen.lowest_eig`
     finds the result as the lowest eigenvalue of H + c(I - P), with every
     lowered state lifted to c or higher: densely up to ``DENSE_CUTOFF``,
-    else by ARPACK to relative residual ``tol``.  For n >= 2 ARPACK starts
-    from P applied to the spin-wave state of n magnons in the graph's lowest
-    non-constant one-magnon mode (:func:`_spin_wave_state`) plus a little of
-    P applied to a random vector drawn with ``seed``, which also seeds
-    ARPACK's restarts; when P nearly annihilates the spin-wave state, and for
-    n = 1, from the projected random vector alone.  The lift depends on
+    else by ARPACK to relative residual ``KRYLOV_TOL``.  For n >= 2 ARPACK
+    starts from P applied to the spin-wave state of n magnons in the graph's
+    lowest non-constant one-magnon mode (:func:`_spin_wave_state`) plus a
+    little of P applied to a random vector drawn with ``seed``, which also
+    seeds ARPACK's restarts; when P nearly annihilates the spin-wave state,
+    and for n = 1, from the projected random vector alone.  The lift depends on
     ``seed``, and so does the vector returned within a degenerate level.
     ``lowering`` is a :func:`heis.sector.lowering_chain` for V vertices
     reaching at least n, shared by the solves of one vertex count; without
     it P builds its own.
     Raises :class:`SizeBudgetError` when the sector exceeds ``SECTOR_BUDGET``
-    (or ``DENSE_BUDGET`` with ``method="dense"``) and
-    :class:`ConvergenceError` when ARPACK fails.
+    and :class:`ConvergenceError` when ARPACK fails.
     """
-    return _lowest_level(g, n, method=method, tol=tol, seed=seed, lowering=lowering)[0]
+    return _lowest_level(g, n, seed=seed, lowering=lowering)[0]
 
 
-def _lowest_level(g, n, method, tol, seed, lowering=None):
+def _lowest_level(g, n, seed, lowering=None):
     """(E_n, unit eigenvector in the highest-weight space) as in
     :func:`energy_level`; the vector is ``None`` when n > V/2."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if method not in ("auto", "dense", "krylov"):
-        raise ValueError(f"unknown method {method!r}")
     V = g.vertex_count
     if n > V // 2:
         return math.inf, None
@@ -143,11 +140,10 @@ def _lowest_level(g, n, method, tol, seed, lowering=None):
         return 0.0, np.ones(1)
     H = hamiltonian_magnon(g, n)
     project = highest_weight_projector(g, n, lowering=lowering)
-    # at n = 1 the start would be the mode itself, found by a dense solve as
-    # large as the one it would replace
+    # at n = 1 the start would be the mode itself, found by a solve as large
+    # as the one it would replace
     start = functools.partial(_spin_wave_state, g, n) if n >= 2 else None
-    return lowest_eig(lambda x: _spmv(H, x), project, H.shape[0], method=method, tol=tol,
-                      seed=seed, start=start)
+    return lowest_eig(lambda x: _spmv(H, x), project, H.shape[0], seed=seed, start=start)
 
 
 def _spin_wave_state(g, n):
@@ -166,12 +162,12 @@ def _lowest_mode(g):
     one after another, so the last graph's mode (V floats) is kept."""
     one = hamiltonian_magnon(g, 1)
     _, phi = lowest_eig(lambda x: one @ x, lambda x: x - x.mean(axis=0), g.vertex_count,
-                        method="dense", tol=None, seed=0)
+                        seed=0)
     phi.flags.writeable = False
     return phi
 
 
-def foel_check(g, n, strict=False, tol=ENERGY_TOL, method="auto", seed=0):
+def foel_check(g, n, strict=False, tol=ENERGY_TOL, seed=0):
     """Check that no level above n dips below the level-n energy.
 
     In strict mode every level n' > n must exceed the level-n energy by more
@@ -187,7 +183,7 @@ def foel_check(g, n, strict=False, tol=ENERGY_TOL, method="auto", seed=0):
     _check_tol(tol)
     if n > g.vertex_count // 2:
         raise ValueError(f"n={n} exceeds half the vertex count")
-    energies, errors = _levels(g, n, method, seed, _level_lowering(g))
+    energies, errors = _levels(g, n, seed, _level_lowering(g))
     base = energies[n]
     violations = [(m, e) for m, e in energies.items()
                   if e < base - tol or (strict and m > n and e <= base + tol)]
@@ -197,19 +193,19 @@ def foel_check(g, n, strict=False, tol=ENERGY_TOL, method="auto", seed=0):
                        failures=[{"n_prime": m, "error": text} for m, text in errors.items()])
 
 
-def _levels(g, n, method, seed, lowering, e_n=None):
+def _levels(g, n, seed, lowering, e_n=None):
     """The level table of g: E_r for r = n..V/2 by :func:`energy_level`,
     every solve sharing ``lowering``.  Returns ({r: E_r}, {r: text}), with
     E_r NaN where the solve raised :class:`HeisError` and the text
     ``"Type: message"`` of each such failure.  A given ``e_n`` is taken as
-    E_n, already solved with the same method and seed, and only
+    E_n, already solved with the same seed, and only
     r = n+1..V/2 are solved."""
     energies, errors = {}, {}
     if e_n is not None:
         energies[n] = e_n
     for r in range(n if e_n is None else n + 1, g.vertex_count // 2 + 1):
         try:
-            energies[r] = energy_level(g, r, method=method, seed=seed, lowering=lowering)
+            energies[r] = energy_level(g, r, seed=seed, lowering=lowering)
         except HeisError as exc:
             energies[r] = math.nan
             errors[r] = f"{type(exc).__name__}: {exc}"
@@ -246,8 +242,7 @@ def _match_couplings(prev_graph, next_graph):
             for e, (key, target) in zip(next_graph.edges, next_map.items())]
 
 
-def dilute_extend(prev, next_graph, n, tol=ENERGY_TOL, method="auto", seed=0, *,
-                  lowering=None):
+def dilute_extend(prev, next_graph, n, tol=ENERGY_TOL, seed=0, *, lowering=None):
     """One induction step of the diluted-system construction.
 
     ``prev`` is a (graph, energy) pair, the graph carrying the previous
@@ -260,7 +255,7 @@ def dilute_extend(prev, next_graph, n, tol=ENERGY_TOL, method="auto", seed=0, *,
     the level-n energy E(t) meets the previous energy (case 2).  Either way
     the step carries that t=1 energy as ``target_energy``: the couplings at
     t=1 are exactly the targets, so it is E_n of ``next_graph`` with the
-    targets, as :func:`energy_level` gives it with the same method, seed and
+    targets, as :func:`energy_level` gives it with the same seed and
     ``lowering``.
 
     H is linear in the couplings, so H(J(t)) = H_0 + t D with
@@ -305,7 +300,7 @@ def dilute_extend(prev, next_graph, n, tol=ENERGY_TOL, method="auto", seed=0, *,
             {e: (1.0 - t) * start + t * target for e, start, target in data})
 
     g = couple(1.0)
-    e = target_energy = energy_level(g, n, method=method, seed=seed, lowering=lowering)
+    e = target_energy = energy_level(g, n, seed=seed, lowering=lowering)
     if e <= prev_energy + tol:
         return DiluteStep(t_star=1.0, graph=g, energy=e, case=1, target_energy=e)
 
@@ -314,7 +309,7 @@ def dilute_extend(prev, next_graph, n, tol=ENERGY_TOL, method="auto", seed=0, *,
     t = 1.0
     for solves in itertools.count(1):
         g = couple(t)
-        e, psi = _lowest_level(g, n, method=method, tol=1e-10, seed=seed, lowering=lowering)
+        e, psi = _lowest_level(g, n, seed=seed, lowering=lowering)
         # the bound keeps every iterate after t = 1 within tol of the previous energy
         if solves > 1 and e > prev_energy + tol:
             if t == 0.0:
@@ -370,7 +365,7 @@ class InductionReport:
     partial: bool = False
 
 
-def induction_run(d, n, N_max, tol=ENERGY_TOL, method="auto", seed=0):
+def induction_run(d, n, N_max, tol=ENERGY_TOL, seed=0):
     """Run the growing-family induction for level n up to N_max vertices.
 
     Per vertex count N it first extends the diluted coupling chain to N
@@ -404,8 +399,7 @@ def induction_run(d, n, N_max, tol=ENERGY_TOL, method="auto", seed=0):
         if i > 0 and dilution_error is None:
             try:
                 step = dilute_extend((chain[-1], energies[-1]), g, n,
-                                     tol=max(tol, 1e-10), method=method, seed=seed,
-                                     lowering=lowering)
+                                     tol=max(tol, 1e-10), seed=seed, lowering=lowering)
             except (HeisError, ValueError) as exc:
                 dilution_error = f"{type(exc).__name__}: {exc}"
             else:
@@ -413,7 +407,7 @@ def induction_run(d, n, N_max, tol=ENERGY_TOL, method="auto", seed=0):
                 energies.append(step.energy)
                 t_values.append(step.t_star)
                 e_n = step.target_energy
-        energy[N], errors[N] = _levels(g, n, method, seed, lowering, e_n=e_n)
+        energy[N], errors[N] = _levels(g, n, seed, lowering, e_n=e_n)
         if i == 0:
             energies = [energy[N][n]]
 

@@ -68,6 +68,8 @@ class Graph:
             raise ValueError("couplings must be finite and nonnegative")
         if self.points is not None and len(self.points) != len(self.vertices):
             raise ValueError("points must align with vertices")
+        if self.points is not None and len(set(self.points)) != len(self.points):
+            raise ValueError("duplicate lattice points")
 
     @property
     def vertex_count(self):

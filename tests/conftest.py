@@ -11,12 +11,16 @@ and ``.T`` views.  No oracle shares code with the sector-basis
 builders it checks.
 """
 
+import contextlib
 import itertools
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+
+import heis.eigen
+import heis.foel
 
 
 def product_hamiltonian(g):
@@ -286,6 +290,23 @@ def gram_limit_oracle(mode_tuples):
             )
             out[i, j] = math.factorial(n) * total
     return out
+
+
+@contextlib.contextmanager
+def solver_path(path):
+    """Force :func:`heis.eigen.lowest_eig` onto one path inside the block:
+    ``"dense"`` at every size, ``"krylov"`` (ARPACK) at every size above 1,
+    by substituting ``heis.eigen.DENSE_CUTOFF``.  The cached one-magnon mode
+    (:func:`heis.foel._lowest_mode`) is cleared on entry and exit, so no
+    mode solved on the forced path outlives the block."""
+    saved = heis.eigen.DENSE_CUTOFF
+    heis.eigen.DENSE_CUTOFF = {"dense": math.inf, "krylov": 1}[path]
+    heis.foel._lowest_mode.cache_clear()
+    try:
+        yield
+    finally:
+        heis.eigen.DENSE_CUTOFF = saved
+        heis.foel._lowest_mode.cache_clear()
 
 
 @pytest.fixture(scope="session")

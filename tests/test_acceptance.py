@@ -35,6 +35,7 @@ from heis.analysis import (
     rho_max,
     trace_check,
 )
+from conftest import solver_path
 
 FIGURE_SCALE = 2.0
 
@@ -161,8 +162,10 @@ def test_criterion_04_ring_exploration():
         v = foel_check(g, 2)
         assert not v.incomplete
         for m in (2, 3):
-            dense = energy_level(g, m, method="dense")
-            krylov = energy_level(g, m, method="krylov", tol=1e-11)
+            with solver_path("dense"):
+                dense = energy_level(g, m)
+            with solver_path("krylov"):
+                krylov = energy_level(g, m)
             assert abs(dense - krylov) <= 1e-8
         note = "violation recorded" if not v.holds else "no violation observed"
         if not v.holds:

@@ -89,7 +89,7 @@ def test_spectrum_passes_seed_to_energy_level(capsys, monkeypatch):
 
     monkeypatch.setattr(heis.cli, "energy_level", record)
     run(capsys, "spectrum", "--graph", "path:L=4", "--sector", "1", "--seed", "7")
-    assert calls == [{"method": "auto", "seed": 7}]
+    assert calls == [{"seed": 7}]
 
 
 def test_foel_passes_seed_to_energy_level(capsys, monkeypatch):
@@ -101,7 +101,7 @@ def test_foel_passes_seed_to_energy_level(capsys, monkeypatch):
 
     monkeypatch.setattr(heis.foel, "energy_level", record)
     run(capsys, "foel", "--graph", "path:L=4", "--n", "1", "--seed", "7")
-    assert [(c["method"], c["seed"]) for c in calls] == [("auto", 7)] * 2
+    assert [(set(c), c["seed"]) for c in calls] == [({"seed", "lowering"}, 7)] * 2
 
 
 def test_spectrum_requires_sector(capsys):
@@ -114,9 +114,9 @@ def test_spectrum_requires_sector(capsys):
 # Each subcommand's own options.  All also take --out, --format and --seed (the
 # benchmark runner appends --seed to every job, spinwave's included).
 SUBCOMMAND_OPTIONS = {
-    "spectrum": {"--graph", "--sector", "--all-sectors", "--figure-compat", "--method"},
-    "foel": {"--graph", "--n", "--strict", "--tol", "--method"},
-    "induct": {"--d", "--n", "--N-max", "--tol", "--method"},
+    "spectrum": {"--graph", "--sector", "--all-sectors", "--figure-compat"},
+    "foel": {"--graph", "--n", "--strict", "--tol"},
+    "induct": {"--d", "--n", "--N-max", "--tol"},
     "spinwave": {"--d", "--N", "--modes"},
     "ineq": {"--suite", "--samples"},
 }
@@ -143,6 +143,10 @@ def test_each_subcommand_takes_only_the_options_it_reads():
     (("ineq", "--suite", "rho", "--method", "dense"), "--method"),
     (("spectrum", "--graph", "path:L=4", "--sector", "1", "--all-sectors"),
      "not allowed with argument --sector"),
+    # the sector size alone picks the solver path
+    (("spectrum", "--graph", "path:L=4", "--sector", "1", "--method", "dense"), "--method"),
+    (("foel", "--graph", "path:L=8", "--n", "1", "--method", "dense"), "--method"),
+    (("induct", "--d", "1", "--n", "1", "--N-max", "4", "--method", "krylov"), "--method"),
 ])
 def test_unread_or_conflicting_option_is_an_argument_error(capsys, argv, refused):
     # these used to exit 0, echoing the ignored value in meta.config

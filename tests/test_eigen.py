@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -17,6 +18,8 @@ from heis.sector import (
 )
 from heis.eigen import (
     DEGENERACY_TOL,
+    DENSE_CUTOFF,
+    KRYLOV_TOL,
     EigResult,
     _spin_entries,
     degenerate_runs,
@@ -30,6 +33,7 @@ from conftest import (
     product_casimir,
     product_hamiltonian,
     project_sector,
+    solver_path,
     spectral_count,
     spin_entries_loop,
 )
@@ -39,7 +43,6 @@ def test_full_spectrum_grid():
     eig = full_spectrum(hamiltonian_magnon(make_box(2, 3), 1))
     expected = [0.0, 0.5, 0.5, 1.0, 1.5, 1.5, 2.0, 2.0, 3.0]
     assert np.allclose(eig.values, expected, atol=1e-10)
-    assert eig.method == "dense"
     assert np.all(np.diff(eig.values) >= 0)
 
 
@@ -69,7 +72,8 @@ def test_full_spectrum_assembled_two_site():
 
 
 def test_min_eig_zero_operator():
-    val, vec = min_eig(scipy.sparse.csr_matrix((5, 5)), method="krylov", seed=1)
+    with solver_path("krylov"):
+        val, vec = min_eig(scipy.sparse.csr_matrix((5, 5)), seed=1)
     assert val == pytest.approx(0.0, abs=1e-12)
     assert np.linalg.norm(vec) == pytest.approx(1.0)
 
@@ -78,8 +82,9 @@ def test_min_eig_two_site_deflated():
     g = make_box(1, 2)
     H = hamiltonian_magnon(g, 1)
     ground = np.array([[1.0], [1.0]]) / math.sqrt(2)  # lowered all-up state
-    for method in ("dense", "krylov"):
-        val, vec = min_eig(H, deflate=ground, method=method)
+    for path in ("dense", "krylov"):
+        with solver_path(path):
+            val, vec = min_eig(H, deflate=ground)
         assert val == pytest.approx(1.0, abs=1e-10)
         assert abs(ground[:, 0] @ vec) < 1e-8
 
@@ -89,8 +94,9 @@ def test_min_eig_path8_deflated_closed_form():
     H = hamiltonian_magnon(g, 1)
     rng_basis = scipy.linalg.orth(lowering_matrix(g, 1).toarray())
     expected = 1 - math.cos(math.pi / 8)  # 2 sin^2(pi/2L)
-    for method in ("dense", "krylov"):
-        val, _ = min_eig(H, deflate=rng_basis, method=method)
+    for path in ("dense", "krylov"):
+        with solver_path(path):
+            val, _ = min_eig(H, deflate=rng_basis)
         assert val == pytest.approx(expected, abs=1e-9)
 
 
@@ -98,15 +104,18 @@ def test_min_eig_dense_krylov_agree():
     for g in (make_path(9), make_ring(6), make_lambda(2, 7)):
         for n in (1, 2):
             H = hamiltonian_magnon(g, n)
-            vd, _ = min_eig(H, method="dense")
-            vk, _ = min_eig(H, method="krylov", tol=1e-11)
+            with solver_path("dense"):
+                vd, _ = min_eig(H)
+            with solver_path("krylov"):
+                vk, _ = min_eig(H)
             assert abs(vd - vk) < 1e-8
 
 
 def test_min_eig_seed_determinism():
     H = hamiltonian_magnon(make_path(7), 2)
-    a = min_eig(H, method="krylov", seed=3)
-    b = min_eig(H, method="krylov", seed=3)
+    with solver_path("krylov"):
+        a = min_eig(H, seed=3)
+        b = min_eig(H, seed=3)
     assert a[0] == b[0]
     assert np.array_equal(a[1], b[1])
 
@@ -124,27 +133,27 @@ def test_min_eig_rejects_misshapen_deflation(deflate):
         min_eig(hamiltonian_magnon(make_path(4), 1), deflate=deflate)
 
 
-@pytest.mark.parametrize("method", ["dense", "krylov"])
-def test_min_eig_rejects_full_deflation(method):
-    with pytest.raises(ValueError, match="whole operator domain"):
-        min_eig(np.diag([1.0, 2.0, 3.0]), deflate=np.eye(3), method=method)
+@pytest.mark.parametrize("path", ["dense", "krylov"])
+def test_min_eig_rejects_full_deflation(path):
+    with solver_path(path), pytest.raises(ValueError, match="whole operator domain"):
+        min_eig(np.diag([1.0, 2.0, 3.0]), deflate=np.eye(3))
 
 
-@pytest.mark.parametrize("method", ["auto", "dense", "krylov"])
-def test_empty_operator_is_a_value_error(method):
-    with pytest.raises(ValueError, match="dimension 0"):
-        min_eig(np.zeros((0, 0)), method=method)
-
+@pytest.mark.parametrize("path", [pytest.param(None, id="auto"), "dense", "krylov"])
+def test_empty_operator_is_a_value_error(path):
     def unreachable(x):
         raise AssertionError("called on an empty space")
-    with pytest.raises(ValueError, match="dimension 0"):
-        lowest_eig(unreachable, unreachable, 0, method, 1e-12, 0, start=unreachable)
+    with solver_path(path) if path else contextlib.nullcontext():
+        with pytest.raises(ValueError, match="dimension 0"):
+            min_eig(np.zeros((0, 0)))
+        with pytest.raises(ValueError, match="dimension 0"):
+            lowest_eig(unreachable, unreachable, 0, 0, start=unreachable)
 
 
 def test_min_eig_dense_budget():
     # the budget check comes before the dense matrix is built
-    with pytest.raises(SizeBudgetError):
-        min_eig(scipy.sparse.csr_matrix((DENSE_BUDGET + 1, DENSE_BUDGET + 1)), method="dense")
+    with solver_path("dense"), pytest.raises(SizeBudgetError):
+        min_eig(scipy.sparse.csr_matrix((DENSE_BUDGET + 1, DENSE_BUDGET + 1)))
 
 
 def test_min_eig_permutation_invariance(rng):
@@ -155,14 +164,15 @@ def test_min_eig_permutation_invariance(rng):
     assert val == pytest.approx(val_p, abs=1e-12)
 
 
-@pytest.mark.parametrize("method", ["dense", "krylov"])
-def test_lowest_eig_returns_a_deterministic_pair(method):
+@pytest.mark.parametrize("path", ["dense", "krylov"])
+def test_lowest_eig_returns_a_deterministic_pair(path):
     # both paths return the eigenvector, and the seeded lift makes a repeat
     # with the same seed return the same pair
     H = hamiltonian_magnon(make_lambda(2, 9), 2)
     apply, project = (lambda x: H @ x), (lambda x: x)
-    value, vec = lowest_eig(apply, project, H.shape[0], method, 1e-12, 0)
-    again, same = lowest_eig(apply, project, H.shape[0], method, 1e-12, 0)
+    with solver_path(path):
+        value, vec = lowest_eig(apply, project, H.shape[0], 0)
+        again, same = lowest_eig(apply, project, H.shape[0], 0)
     assert again == value
     assert np.array_equal(same, vec)
     assert np.linalg.norm(H @ vec - value * vec) < 1e-8
@@ -174,8 +184,9 @@ def test_lowest_eig_start_falls_back_to_the_seeded_random_vector():
     H = hamiltonian_magnon(make_lambda(2, 9), 2)
     dim = H.shape[0]
     apply, project = (lambda x: H @ x), (lambda x: x - x.mean())
-    plain = lowest_eig(apply, project, dim, "krylov", 1e-12, 3)
-    started = lowest_eig(apply, project, dim, "krylov", 1e-12, 3, start=lambda: np.ones(dim))
+    with solver_path("krylov"):
+        plain = lowest_eig(apply, project, dim, 3)
+        started = lowest_eig(apply, project, dim, 3, start=lambda: np.ones(dim))
     assert started[0] == plain[0]
     assert np.array_equal(started[1], plain[1])
 
@@ -185,22 +196,38 @@ def test_lowest_eig_start_mixes_in_the_random_vector():
     # grown from the start alone never meets the lowest state, at index 0;
     # the projected random part reaches it
     d = np.arange(1.0, 301.0)
-    value, vec = lowest_eig((lambda x: d * x), (lambda x: x), len(d), "krylov", 1e-12, 0,
+    value, vec = lowest_eig((lambda x: d * x), (lambda x: x), len(d), 0,
                             start=lambda: np.r_[np.zeros(150), np.ones(150)])
     assert value == pytest.approx(1.0, abs=1e-10)
     assert abs(vec[0]) == pytest.approx(1.0, abs=1e-8)
 
 
-@pytest.mark.parametrize("method", ["dense", "krylov"])
-def test_lowest_eig_lifts_the_complement_above_the_level(method):
+@pytest.mark.parametrize("path", ["dense", "krylov"])
+def test_lowest_eig_lifts_the_complement_above_the_level(path):
     # apply is 0 on the complement of the range: lifted to c, every state
     # there sits above the range's lowest value 5
     d = np.r_[np.zeros(150), np.arange(5.0, 155.0)]
     keep = (d > 0).astype(float)
-    value, vec = lowest_eig((lambda x: (d * x.T).T), (lambda x: (keep * x.T).T), len(d),
-                            method, 1e-12, 0)
+    with solver_path(path):
+        value, vec = lowest_eig((lambda x: (d * x.T).T), (lambda x: (keep * x.T).T), len(d), 0)
     assert value == pytest.approx(5.0, abs=1e-10)
     assert abs(vec[150]) == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("dim, arpack_calls", [(1, 0), (DENSE_CUTOFF, 0), (DENSE_CUTOFF + 1, 1)])
+def test_size_alone_picks_the_solver_path(monkeypatch, dim, arpack_calls):
+    # dense up to DENSE_CUTOFF (and at dim 1), one ARPACK solve at KRYLOV_TOL above
+    calls, arpack = [], heis.eigen.eigsh
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["tol"])
+        return arpack(*args, **kwargs)
+    monkeypatch.setattr(heis.eigen, "eigsh", counted)
+    d = np.arange(1.0, dim + 1.0)
+    value, vec = lowest_eig((lambda x: (d * x.T).T), (lambda x: x), dim, 0)
+    assert value == pytest.approx(1.0, abs=1e-10)
+    assert abs(vec[0]) == pytest.approx(1.0, abs=1e-8)
+    assert calls == [KRYLOV_TOL] * arpack_calls
 
 
 def test_lowest_eig_builds_the_start_on_the_krylov_path_only():
@@ -210,10 +237,10 @@ def test_lowest_eig_builds_the_start_on_the_krylov_path_only():
     def start():
         built.append(True)
         return np.arange(H.shape[0], dtype=float)
-    for method in ("dense", "krylov"):
-        lowest_eig((lambda x: H @ x), (lambda x: x), H.shape[0], method, 1e-12, 0,
-                   start=start)
-        assert len(built) == (method == "krylov")
+    for path in ("dense", "krylov"):
+        with solver_path(path):
+            lowest_eig((lambda x: H @ x), (lambda x: x), H.shape[0], 0, start=start)
+        assert len(built) == (path == "krylov")
 
 
 def test_spectral_count_basic():

@@ -24,7 +24,7 @@ from heis.foel import (
     foel_check,
     induction_run,
 )
-from conftest import product_level, spectral_count
+from conftest import product_level, solver_path, spectral_count
 
 
 def test_energy_level_two_site():
@@ -67,8 +67,10 @@ def test_energy_level_dense_krylov_agree():
             if math.comb(g.vertex_count, n) > 2048:
                 d = highest_weight_levels(g, n)[0]
             else:
-                d = energy_level(g, n, method="dense")
-            k = energy_level(g, n, method="krylov", tol=1e-11)
+                with solver_path("dense"):
+                    d = energy_level(g, n)
+            with solver_path("krylov"):
+                k = energy_level(g, n)
             assert abs(d - k) < 1e-10
 
 
@@ -80,7 +82,9 @@ def test_spin_wave_start_falls_back_when_projected_away():
     s = heis.foel._spin_wave_state(g, 4)
     assert len(s) == 1001
     assert np.linalg.norm(highest_weight_projector(g, 4)(s)) < 1e-12 * np.linalg.norm(s)
-    assert energy_level(g, 4) == pytest.approx(energy_level(g, 4, method="dense"), abs=1e-10)
+    with solver_path("dense"):
+        dense = energy_level(g, 4)
+    assert energy_level(g, 4) == pytest.approx(dense, abs=1e-10)
 
 
 @pytest.mark.parametrize("d, N, n", [(2, 10, 5), (2, 15, 3), (3, 12, 5), (3, 12, 6),
@@ -90,13 +94,16 @@ def test_auto_level_matches_dense_where_the_spin_wave_state_misses(d, N, n):
     # Krylov space grown from it alone never reached these ground states
     # (lambda(2, 10) at n = 5 gave 1.80394 instead of 1.49469)
     g = make_lambda(d, N)
-    assert abs(energy_level(g, n) - energy_level(g, n, method="dense")) < 1e-10
+    with solver_path("dense"):
+        dense = energy_level(g, n)
+    assert abs(energy_level(g, n) - dense) < 1e-10
 
 
 @pytest.mark.parametrize("d, N", [(2, 10), (3, 9)])
 def test_krylov_level_matches_product_oracle_where_the_spin_wave_state_misses(d, N):
     g = make_lambda(d, N)
-    assert abs(energy_level(g, 3, method="krylov") - product_level(g, 3)) < 1e-10
+    with solver_path("krylov"):
+        assert abs(energy_level(g, 3) - product_level(g, 3)) < 1e-10
 
 
 def test_dense_level_builds_the_matrix_in_column_blocks():
@@ -104,13 +111,14 @@ def test_dense_level_builds_the_matrix_in_column_blocks():
     # (C(V, k), dim) block for every k <= n: 4.9x the matrix at path12 n = 6
     g, n = make_path(12), 6
     dim = math.comb(12, 6)
-    energy_level(g, 2, method="dense")
-    tracemalloc.start()
-    try:
-        e = energy_level(g, n, method="dense")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with solver_path("dense"):
+        energy_level(g, 2)
+        tracemalloc.start()
+        try:
+            e = energy_level(g, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert peak < 3 * 8 * dim * dim
     assert abs(e - 0.25895175088059297) < 1e-12       # the one-piece build's value
 
@@ -163,8 +171,8 @@ def test_energy_level_takes_a_shared_lowering_chain():
 def test_energy_level_size_budgets():
     with pytest.raises(SizeBudgetError):
         energy_level(make_path(40), 20)
-    with pytest.raises(SizeBudgetError):
-        energy_level(make_path(16), 8, method="dense")   # C(16,8) > DENSE_BUDGET
+    with solver_path("dense"), pytest.raises(SizeBudgetError):
+        energy_level(make_path(16), 8)   # C(16,8) > DENSE_BUDGET
 
 
 @pytest.mark.parametrize("exc", [
@@ -175,15 +183,16 @@ def test_energy_level_wraps_arpack_failures(monkeypatch, capsys, exc):
     def fail(*args, **kwargs):
         raise exc
     monkeypatch.setattr(heis.eigen, "eigsh", fail)
-    with pytest.raises(ConvergenceError):
-        energy_level(make_path(8), 2, method="krylov")
-    v = foel_check(make_path(8), 1, method="krylov")
-    assert v.incomplete
-    assert math.isnan(v.energies[2])
-    # every level but the dim-1 n = 0 one runs ARPACK, and each keeps its reason
-    assert [f["n_prime"] for f in v.failures] == [1, 2, 3, 4]
-    assert all(f["error"].startswith("ConvergenceError: ARPACK") for f in v.failures)
-    assert main(["foel", "--graph", "path:L=8", "--n", "1", "--method", "krylov"]) == 3
+    with solver_path("krylov"):
+        with pytest.raises(ConvergenceError):
+            energy_level(make_path(8), 2)
+        v = foel_check(make_path(8), 1)
+        assert v.incomplete
+        assert math.isnan(v.energies[2])
+        # every level but the dim-1 n = 0 one runs ARPACK, and each keeps its reason
+        assert [f["n_prime"] for f in v.failures] == [1, 2, 3, 4]
+        assert all(f["error"].startswith("ConvergenceError: ARPACK") for f in v.failures)
+        assert main(["foel", "--graph", "path:L=8", "--n", "1"]) == 3
     assert json.loads(capsys.readouterr().out)["results"]["failures"] == v.failures
     complete = foel_check(make_path(8), 1)
     assert complete.failures == [] and not complete.incomplete
@@ -202,12 +211,12 @@ def test_failed_levels_are_null_in_json_reports(monkeypatch, capsys):
         raise ValueError(f"{constant} is not JSON")
 
     monkeypatch.setattr(heis.eigen, "eigsh", fail)
-    assert main(["foel", "--graph", "path:L=8", "--n", "1", "--method", "krylov"]) == 3
-    res = json.loads(capsys.readouterr().out, parse_constant=reject)["results"]
-    assert res["energies"] == {"1": None, "2": None, "3": None, "4": None}
-    assert [f["n_prime"] for f in res["failures"]] == [1, 2, 3, 4]
-    assert main(["induct", "--d", "1", "--n", "4", "--N-max", "9",
-                 "--method", "krylov"]) == 3
+    with solver_path("krylov"):
+        assert main(["foel", "--graph", "path:L=8", "--n", "1"]) == 3
+        res = json.loads(capsys.readouterr().out, parse_constant=reject)["results"]
+        assert res["energies"] == {"1": None, "2": None, "3": None, "4": None}
+        assert [f["n_prime"] for f in res["failures"]] == [1, 2, 3, 4]
+        assert main(["induct", "--d", "1", "--n", "4", "--N-max", "9"]) == 3
     res = json.loads(capsys.readouterr().out, parse_constant=reject)["results"]
     assert [r["E_n"] for r in res["rows"]] == [None, None]
     assert res["partial"] is True
@@ -220,8 +229,8 @@ def test_partial_induct_report_lists_failures(monkeypatch, capsys):
     def reject(constant):
         raise ValueError(f"{constant} is not JSON")
 
-    argv = ["induct", "--d", "1", "--n", "4", "--N-max", "9", "--method", "krylov"]
-    with monkeypatch.context() as m:
+    argv = ["induct", "--d", "1", "--n", "4", "--N-max", "9"]
+    with monkeypatch.context() as m, solver_path("krylov"):
         m.setattr(heis.eigen, "eigsh", fail)
         assert main(argv) == 3
         res = json.loads(capsys.readouterr().out, parse_constant=reject)["results"]
@@ -276,9 +285,9 @@ def test_programming_errors_propagate(monkeypatch):
 def test_energy_level_beyond_dense_budget():
     # C(15,7) = 6435 is above the dense budget: the ARPACK path
     g = make_path(15)
-    e6 = energy_level(g, 6, method="krylov", tol=1e-9, seed=1)
-    e7 = energy_level(g, 7, method="krylov", tol=1e-9, seed=1)
-    e7b = energy_level(g, 7, method="krylov", tol=1e-9, seed=9)
+    e6 = energy_level(g, 6, seed=1)
+    e7 = energy_level(g, 7, seed=1)
+    e7b = energy_level(g, 7, seed=9)
     assert abs(e7 - e7b) < 1e-8          # seed-independent value
     assert 0 < e6 < e7 < 1.0             # ordering expected for chains
 
@@ -304,8 +313,8 @@ def test_foel_check_passes_method_and_seed(monkeypatch):
         calls.append(kwargs)
         return 0.0
     monkeypatch.setattr(heis.foel, "energy_level", record)
-    foel_check(make_path(4), 0, method="krylov", seed=7)
-    assert [(c["method"], c["seed"]) for c in calls] == [("krylov", 7)] * 3
+    foel_check(make_path(4), 0, seed=7)
+    assert [(set(c), c["seed"]) for c in calls] == [({"seed", "lowering"}, 7)] * 3
     # every level gets the one S^- chain of the graph, S^-_1 and S^-_2
     assert [low.shape for low in calls[0]["lowering"]] == [(4, 1), (6, 4)]
     assert all(c["lowering"] is calls[0]["lowering"] for c in calls)

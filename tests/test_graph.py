@@ -107,6 +107,15 @@ def test_graph_invariants_enforced():
             Graph((0, 1), ((0, 1),), (j,))
 
 
+def test_duplicate_lattice_points_are_refused():
+    # two vertices at one point share a key, so edge_keys() merges their
+    # edges and the chain matching could pair this graph with a 4-vertex one
+    with pytest.raises(ValueError, match="duplicate lattice points"):
+        Graph((0, 1, 2), ((0, 1), (1, 2)), (1.0, 2.0), points=((1,), (1,), (2,)))
+    with pytest.raises(ValueError, match="align"):
+        Graph((0, 1, 2), ((0, 1), (1, 2)), (1.0, 2.0), points=((1,), (2,)))
+
+
 def test_load_graph_basic(tmp_path):
     p = tmp_path / "g.txt"
     p.write_text("1 2 1.0\n2 3 0.5\n")

@@ -42,6 +42,7 @@ from conftest import (
     product_spin_ops,
     project_sector,
     sector_masks,
+    solver_path,
 )
 
 
@@ -753,6 +754,11 @@ def test_function_space_budget():
         free_laplacian(make_path(40), 5)
 
 
+def _dense_lowest_eig(dim):
+    with solver_path("dense"):
+        return lowest_eig(None, None, dim, seed=0)
+
+
 @pytest.mark.parametrize("build, size, cap", [
     (lambda: MagnonBasis(40, 20).array(), math.comb(40, 20), SECTOR_BUDGET),
     (lambda: casimir_magnon(make_path(40), 20), math.comb(40, 20), SECTOR_BUDGET),
@@ -762,7 +768,7 @@ def test_function_space_budget():
     (lambda: trial_state(1, 20, [(k,) for k in range(1, 11)]),
      math.factorial(10) * math.comb(20, 10), FUNCTION_SPACE_BUDGET),
     (lambda: full_spectrum(sp.csr_matrix((4097, 4097))), 4097, DENSE_BUDGET),
-    (lambda: lowest_eig(None, None, 4097, method="dense", tol=None, seed=0), 4097, DENSE_BUDGET),
+    (lambda: _dense_lowest_eig(4097), 4097, DENSE_BUDGET),
 ])
 def test_budget_messages_name_size_and_cap(build, size, cap):
     with pytest.raises(SizeBudgetError, match=rf" {size} exceeds the [a-z-]+ budget {cap}$"):
@@ -777,7 +783,7 @@ def test_budget_messages_name_huge_sizes_by_bit_length():
     with pytest.raises(SizeBudgetError, match=r"a 19053-bit number orderings"):
         trial_state(1, 2000, [(k,) for k in range(2000)])
     # so the level table records the refusal instead of raising a bare ValueError
-    energies, errors = _levels(make_ring(20000), 10000, "auto", 0, [])
+    energies, errors = _levels(make_ring(20000), 10000, 0, [])
     assert math.isnan(energies[10000])
     assert errors[10000].startswith("SizeBudgetError: sector C(20000,10000) = a 19993-bit")
 
