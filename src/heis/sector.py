@@ -52,8 +52,9 @@ class MagnonBasis:
     def array(self):
         """All subsets in rank order, as a (dim, n) int64 array of ascending rows.
 
-        Built one column at a time: the colex-ordered k-subsets with largest
-        element c are the first C(c, k-1) colex-ordered (k-1)-subsets with c
+        Built one column at a time by the recursion that :func:`product_state`
+        and :func:`_removal_ranks` share: the colex-ordered k-subsets with
+        largest element c are the first C(c, k-1) (k-1)-subsets with c
         appended.  Raises :class:`SizeBudgetError` above ``SECTOR_BUDGET``.
         """
         check_sector_budget(self.vertex_count, self.n)
@@ -159,9 +160,9 @@ def product_state(cols):
     X = {c_0 < ... < c_{n-1}}, for a (V, n) array ``cols``.
 
     Returned in rank order as a 1-D array over mag(n), built one subset size
-    at a time as :meth:`MagnonBasis.array` builds its rows: the colex-ordered
-    k-subsets with largest element c are the first C(c, k-1) (k-1)-subsets
-    with c appended, so their coefficients are those times cols[c, k-1].
+    at a time by the recursion of :meth:`MagnonBasis.array`: the k-subsets
+    with largest element c are the first C(c, k-1) (k-1)-subsets with c
+    appended, so their coefficients are those times cols[c, k-1].
     Raises :class:`ValueError` for n > V and :class:`SizeBudgetError` above
     ``SECTOR_BUDGET``.
     """
@@ -176,35 +177,28 @@ def product_state(cols):
     return s
 
 
-def _insertions(vertex_count, n):
-    """Insert each vertex x = 0..V-1 into the (n-1)-subsets X_j.
+def _removal_ranks(vertex_count, n):
+    """(C(V, n), n) int32 table whose row X lists the ranks in mag(n-1) of
+    the X - {c}, ascending, that is with c descending.
 
-    Per x, yields the ascending ranks j of the X_j without x and the ranks
-    j + tail[j, q] + C(x, q+1) of X_j + {x} in mag(n), where
-    tail[j, q] = sum_{t>=q} [C(c_t, t+2) - C(c_t, t+1)].  The slot
-    q = #{c in X_j : c < x} is a pointer that steps when x meets the pointed
-    element.  Both sector budgets are checked on the call, before any step.
+    Built as :meth:`MagnonBasis.array` builds its rows: Y + {c}, for Y among
+    the first C(c, k-1) (k-1)-subsets, loses c to rank(Y) and any other
+    element y to rank(Y - {y}) + C(c, k-1).  Raises :class:`ValueError`
+    unless 1 <= n <= V, and :class:`SizeBudgetError` on C(V, n), then on
+    C(V, n-1), above ``SECTOR_BUDGET`` before any table is built.
     """
     V = vertex_count
-    src, dst = MagnonBasis(V, n - 1), MagnonBasis(V, n)
+    MagnonBasis(V, n)
     check_sector_budget(V, n)
-    sub = np.column_stack((src.array(), np.full(src.dim, V)))  # V: past every c
-    tail = np.zeros((src.dim, n), dtype=np.int64)
-    for t in range(n - 2, -1, -1):
-        c = sub[:, t]
-        tail[:, t] = tail[:, t + 1] + dst._weights[c, t + 1] - src._weights[c, t]
-
-    def walk():
-        row = np.arange(0, src.dim * n, n)
-        q = np.zeros(src.dim, dtype=np.int64)   # slot pointer: #{c in X_j : c < x}
-        for x in range(V):
-            at = row + q
-            free = sub.take(at) != x
-            j = np.flatnonzero(free)
-            yield j, j + tail.take(at[j]) + dst._weights[x].take(q[j])
-            q += ~free
-
-    return walk()
+    check_sector_budget(V, n - 1)
+    ranks = np.zeros((1, 0), dtype=np.int32)
+    for k in range(1, n + 1):
+        prev, ranks = ranks, np.empty((math.comb(V - n + k, k), k), dtype=np.int32)
+        for c in range(k - 1, V - n + k):       # from row C(c, k): largest element c
+            at, m = math.comb(c, k), math.comb(c, k - 1)
+            ranks[at : at + m, 0] = np.arange(m)
+            np.add(prev[:m], m, out=ranks[at : at + m, 1:])
+    return ranks
 
 
 def hamiltonian_magnon(g, n):
@@ -220,11 +214,14 @@ def hamiltonian_magnon(g, n):
     if n == 0:
         return sp.csr_matrix((1, 1))
     V = g.vertex_count
-    walk = _insertions(V, n)                # checks both budgets before `into` exists
+    ranks = _removal_ranks(V, n)                # checks both budgets before `into` exists
+    dim = len(ranks)
+    sub = MagnonBasis(V, n).array()
     # into[x, j]: the rank of Z_j + {x}, or -1 when x is in Z_j
     into = np.full((V, math.comb(V, n - 1)), -1, dtype=np.int64)
-    for x, (j, i) in enumerate(walk):
-        into[x, j] = i
+    for k in range(n):                          # column k of `ranks` removes sub[:, n-1-k]
+        into[sub[:, n - 1 - k], ranks[:, k]] = np.arange(dim)
+    del sub, ranks
     free = into >= 0                            # free[x, j]: x is not in Z_j
     idx = g.index_of()
 
@@ -236,7 +233,6 @@ def hamiltonian_magnon(g, n):
                 z = np.flatnonzero(free[x] & free[y])
                 yield J, into[x, z], into[y, z]
 
-    dim = math.comb(V, n)
     diag = np.zeros(dim)
     fill = np.zeros(dim, dtype=np.int64)        # per row: entries, then the fill point
     # pass 1 sums the diagonal and counts hops; no rank repeats within an edge
@@ -269,21 +265,17 @@ def lowering_matrix(g, n):
 
     The column of a subset X with |X| = n-1 has a unit entry at every
     superset X + {x}; the transpose represents the raising operator.  Row X
-    has n entries, X - {x} at descending colex rank as x grows.
+    has n entries, the ranks of X - {x} in ascending order, so with x
+    descending.
     """
     V = g.vertex_count
     if not 1 <= n <= V:
         raise ValueError(f"magnon number {n} out of range")
-    walk = _insertions(V, n)
-    dim, nnz = math.comb(V, n), n * math.comb(V, n)
+    ranks = _removal_ranks(V, n)
+    dim = len(ranks)
     # both sector budgets keep n C(V, n) and every index below 2**31
-    indptr = np.arange(0, nnz + 1, n, dtype=np.int32)
-    indices = np.empty(nnz, dtype=np.int32)
-    cursor = np.arange(n, nnz + 1, n)           # one past the last free slot of each row
-    for j, i in walk:
-        cursor[i] -= 1
-        indices[cursor[i]] = j
-    return sp.csr_matrix((np.ones(nnz), indices, indptr),
+    indptr = np.arange(0, dim * n + 1, n, dtype=np.int32)
+    return sp.csr_matrix((np.ones(dim * n), ranks.ravel(), indptr),
                          shape=(dim, math.comb(V, n - 1)))
 
 

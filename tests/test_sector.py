@@ -334,7 +334,7 @@ def _traced_build(build, g, n):
 
 def test_hamiltonian_build_peak_is_a_few_times_its_csr():
     # the sectors of `heis spinwave --N 64` with three modes: dim 41664.  The
-    # build holds the (V, C(V, n-1)) int64 insertion table and fills the CSR
+    # build holds the (V, C(V, n-1)) int64 table `into` and fills the CSR
     # arrays in place; a COO assembly with a mirrored copy peaks at 4x the CSR
     g = make_lambda(2, 64)
     H, peak, csr = _traced_build(hamiltonian_magnon, g, 3)
@@ -343,9 +343,11 @@ def test_hamiltonian_build_peak_is_a_few_times_its_csr():
 
 
 def test_lowering_build_peak_is_near_its_csr():
-    # every row has n entries, filled in place: no COO copy of the entries
-    _, peak, csr = _traced_build(lowering_matrix, make_lambda(2, 64), 3)
-    assert peak < 1.5 * csr
+    # every row has n entries, filled in place: no COO copy of the entries;
+    # path18 at n = 9 (dim 48620) is the largest S^- of the CI runs
+    for g, n in ((make_lambda(2, 64), 3), (make_path(18), 9)):
+        _, peak, csr = _traced_build(lowering_matrix, g, n)
+        assert peak < 1.5 * csr, (g.vertex_count, n, peak / csr)
 
 
 def test_sector_budget_fails_fast():
@@ -356,6 +358,10 @@ def test_sector_budget_fails_fast():
             build(g, 20)
     with pytest.raises(SizeBudgetError):
         MagnonBasis(40, 20).array()
+    # C(22, 15) is inside the budget and C(22, 14) is not
+    for build in (hamiltonian_magnon, lowering_matrix):
+        with pytest.raises(SizeBudgetError, match=r"C\(22,14\)"):
+            build(make_path(22), 15)
 
 
 @given(st.integers(0, 10), st.integers(0, 10))
@@ -423,8 +429,11 @@ def test_hamiltonian_sign_structure():
 
 
 def test_hamiltonian_bad_sector():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="out of range"):
         hamiltonian_magnon(make_box(1, 3), 4)
+    for n in (0, 5):
+        with pytest.raises(ValueError, match="out of range"):
+            lowering_matrix(make_path(4), n)
 
 
 def test_edge_monotonicity_psd():
